@@ -15,6 +15,7 @@ the affine vertex.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,7 +238,7 @@ class RootSystem:
         The same roots in simple-root coordinates, same order.
     marks, comarks : tuple of int
         Length rank+1 with the affine entry 1 in position 0.
-    conj_perm, outer_gens, tau_table, sigma_table, tau_star_table :
+    conj_perm, outer_group, tau_table, sigma_table :
         Diagram-automorphism data over extended vertices {0..rank}.
     """
 
@@ -257,7 +258,6 @@ class RootSystem:
         for a, b in edges:
             i, j = a - 1, b - 1
             ips[i][j] = ips[j][i] = Fraction(-1, min(t[i], t[j]))
-        self._simple_ip = tuple(tuple(row) for row in ips)
 
         cart = [[t[i] * ips[i][j] for j in range(r)] for i in range(r)]
         for row in cart:
@@ -283,7 +283,7 @@ class RootSystem:
         den = 1
         for row in gram:
             for x in row:
-                den = den * x.denominator // _gcd(den, x.denominator)
+                den = math.lcm(den, x.denominator)
         self._gram_den = den
         self._gram_num = tuple(
             tuple(int(x * den) for x in row) for row in gram
@@ -396,7 +396,6 @@ class RootSystem:
             if not preserves_pairings(g):
                 raise AssertionError(f"bad diagram automorphism {g}")
         identity = tuple(range(r + 1))
-        self.outer_gens = tuple(gens)
         self.outer_group = tuple(_close_group(gens, identity))
         if len(self.outer_group) != abs(self.cartan_det):
             raise AssertionError("outer automorphism group has wrong order")
@@ -419,7 +418,6 @@ class RootSystem:
                 )
             tau[a] = hits[0]
         self.tau_table = tau
-        self.tau_star_table = {a: _compose(p, conj) for a, p in tau.items()}
 
         sigma = {}
         for a, p in tau.items():
@@ -582,11 +580,7 @@ class RootSystem:
             mult[mu] = int(val)
 
         table = {w: mult[self.dominant_conjugate(w)] for w in weights}
-        ws = WeightSystem(
-            highest=lam,
-            multiplicity=table,
-            dominant={m: mult[m] for m in dominant},
-        )
+        ws = WeightSystem(multiplicity=table)
         self._mult_cache[lam] = ws
         return ws
 
@@ -595,9 +589,7 @@ class RootSystem:
 class WeightSystem:
     """Weights of one irreducible, with multiplicities."""
 
-    highest: tuple
     multiplicity: dict
-    dominant: dict
 
     @property
     def dim(self):
@@ -617,12 +609,6 @@ class BetaChain:
 
     vertex: int
     chain: tuple
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def build_root_system(family, rank=None):

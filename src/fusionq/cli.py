@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -16,14 +17,13 @@ import sys
 from .cartan import DynkinType, build_root_system
 from .fusion import FusionContext, fusion_product
 from .qsystem import (
-    ConjectureReport,
     KRDataUnavailableError,
     WGrid,
     check_conjecture,
     boundary_check,
-    generate_w_grid,
     kns_report,
     restricted_solution,
+    unsupported_report,
 )
 from .smatrix import NumericDegradationError, OracleUnavailableError, build_smatrix
 
@@ -89,41 +89,26 @@ def cmd_ring(args):
     return EXIT_OK
 
 
-def _unsupported_report(ctx, check, message):
-    rep = ConjectureReport(
-        check=check,
-        family=ctx.rs.type.family,
-        rank=ctx.rs.rank,
-        level=ctx.level,
-    )
-    rep.items.append({"id": "grid", "vertex": None, "m": None, "status": "unsupported"})
-    rep.notes.append(message)
-    return rep
-
-
 def cmd_verify(args):
     """Run the full verification battery and write the combined report."""
     ctx = _context(args)
-    horizon = None if args.horizon in (None, "auto") else int(args.horizon)
-    if args.threads and args.threads > 1:
-        grid = generate_w_grid(ctx, horizon=horizon, threads=args.threads)
-    else:
-        grid = WGrid(ctx)
-    reports = [check_conjecture(ctx, horizon=horizon, grid=grid)]
+    grid = WGrid(ctx)
+    reports = [check_conjecture(ctx, horizon=args.horizon, grid=grid)]
     reports.append(boundary_check(ctx))
-    solution = None
     try:
         solution = restricted_solution(ctx, grid=grid)
-        reports.append(solution.report)
     except KRDataUnavailableError as e:
-        reports.append(_unsupported_report(ctx, "restricted", str(e)))
-    try:
-        if solution is None:
-            raise KRDataUnavailableError("no restricted solution available")
-        kns = kns_report(ctx, grid=grid, solution=solution, tol=args.tol)
-        reports.append(kns.report)
-    except (KRDataUnavailableError, OracleUnavailableError) as e:
-        reports.append(_unsupported_report(ctx, "kns", str(e)))
+        reports.append(unsupported_report(ctx, "restricted", str(e)))
+        reports.append(
+            unsupported_report(ctx, "kns", "no restricted solution available")
+        )
+    else:
+        reports.append(solution.report)
+        try:
+            kns = kns_report(ctx, grid=grid, solution=solution, tol=args.tol)
+            reports.append(kns.report)
+        except (KRDataUnavailableError, OracleUnavailableError) as e:
+            reports.append(unsupported_report(ctx, "kns", str(e)))
     ctx.save_cache()
     obj = [rep.to_obj() for rep in reports]
     _emit(json.dumps(obj, separators=(",", ":")) + "\n", args.out)
@@ -132,10 +117,10 @@ def cmd_verify(args):
 
 
 def cmd_smatrix(args):
-    """Write the S-matrix as CSV and print the unitarity residual."""
+    """Write the S-matrix as JSON or CSV and print the unitarity residual."""
     ctx = _context(args)
     try:
-        sm = build_smatrix(ctx, zero_tol=args.tol)
+        sm = build_smatrix(ctx)
     except OracleUnavailableError as e:
         raise UsageError(str(e))
     residual = sm.unitarity_residual()
@@ -151,20 +136,27 @@ def cmd_smatrix(args):
             ],
             "unitarity_residual": f"{residual:.6g}",
         }
-        _emit(json.dumps(obj, separators=(",", ":")) + "\n", args.out)
+        text = json.dumps(obj, separators=(",", ":")) + "\n"
     else:
         rows = [[_weight_label(w[1:]) for w in ctx.basis]]
         for row in sm.matrix:
             rows.append([f"{z.real:.15g},{z.imag:.15g}" for z in row])
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerows(rows)
-        else:
-            csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        text = buf.getvalue()
+    _emit(text, args.out)
     print(f"unitarity residual {residual:.3e}", file=sys.stderr)
     if residual > args.tol:
         return EXIT_NUMERIC
     return EXIT_OK
+
+
+def _horizon(text):
+    """Parse --horizon: an integer, or 'auto' (None) for one full period."""
+    try:
+        return None if text == "auto" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer or 'auto', got {text!r}")
 
 
 def _build_parser():
@@ -174,31 +166,27 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def subcommand(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--family", required=True, choices=list("ABCDEFG"))
         p.add_argument("--rank", required=True, type=int)
         p.add_argument("--level", required=True, type=int)
-        p.add_argument("--horizon", default="auto",
-                       help="grid horizon, an integer or 'auto'")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.add_argument("--tol", default=1e-9, type=float)
-        p.add_argument("--threads", default=None, type=int)
+        return p
 
-    common(sub.add_parser("ring", help="export basis and fusion-product table"))
-    common(sub.add_parser("verify", help="run the verification battery"))
-    common(sub.add_parser("smatrix", help="export the modular S-matrix"))
+    subcommand("ring", "export basis and fusion-product table")
+    verify = subcommand("verify", "run the verification battery")
+    verify.add_argument("--horizon", default=None, type=_horizon,
+                        help="grid horizon, an integer or 'auto'")
+    smatrix = subcommand("smatrix", "export the modular S-matrix")
+    smatrix.add_argument("--format", default="json", choices=["json", "csv"])
+    for p in (verify, smatrix):
+        p.add_argument("--tol", default=1e-9, type=float)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.horizon != "auto":
-        try:
-            int(args.horizon)
-        except ValueError:
-            parser.error(f"--horizon must be an integer or 'auto', got {args.horizon}")
+    args = _build_parser().parse_args(argv)
     handler = {"ring": cmd_ring, "verify": cmd_verify, "smatrix": cmd_smatrix}[
         args.command
     ]

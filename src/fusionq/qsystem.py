@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -191,19 +190,13 @@ class WGrid:
         return elem
 
 
-def generate_w_grid(ctx, vertices=None, horizon=None, threads=None):
+def generate_w_grid(ctx, vertices=None, horizon=None):
     """Build a WGrid and fill it up to the horizon (default: one full
     predicted period per vertex)."""
     grid = WGrid(ctx, vertices)
-    tasks = []
     for a in grid.vertices:
         top = grid.default_horizon(a) if horizon is None else horizon
-        tasks.extend((a, m) for m in range(top + 1))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda am: grid.get(*am), tasks))
-    else:
-        for a, m in tasks:
+        for m in range(top + 1):
             grid.get(a, m)
     return grid
 
@@ -267,6 +260,14 @@ def _new_report(ctx, check):
     )
 
 
+def unsupported_report(ctx, check, note):
+    """A report whose one item marks the whole check as unsupported."""
+    rep = _new_report(ctx, check)
+    rep.items.append({"id": "grid", "vertex": None, "m": None, "status": "unsupported"})
+    rep.notes.append(note)
+    return rep
+
+
 def _sign_definite(elem):
     signs = {1 if c > 0 else -1 for c in elem.terms.values()}
     return len(signs) <= 1
@@ -296,15 +297,14 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
     """
     if grid is None:
         grid = WGrid(ctx, vertices)
+    if not grid.vertices:
+        return unsupported_report(
+            ctx, "conjecture", "no vertex carries closed-form KR data; nothing to check"
+        )
     rs = ctx.rs
     k = ctx.level
     rep = _new_report(ctx, "conjecture")
-    if not grid.vertices:
-        rep.notes.append("no vertex carries closed-form KR data; nothing to check")
-        rep.items.append(
-            {"id": "grid", "vertex": None, "m": None, "status": "unsupported"}
-        )
-    elif set(grid.vertices) != set(range(1, rs.rank + 1)):
+    if set(grid.vertices) != set(range(1, rs.rank + 1)):
         rep.notes.append(
             "exceptional KR data is conjectural and limited to minuscule vertices"
         )

@@ -9,7 +9,6 @@ where it is usable.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -72,13 +71,12 @@ def weyl_group(rs):
 
 
 class SMatrix:
-    """The modular S-matrix over one level's basis, with its tolerance."""
+    """The modular S-matrix over one level's basis."""
 
-    def __init__(self, ctx, matrix, zero_tol):
+    def __init__(self, ctx, matrix):
         self.ctx = ctx
         self.basis = ctx.basis
         self.matrix = matrix
-        self.zero_tol = zero_tol
 
     def index(self, w):
         return self.ctx.basis_index[tuple(w)]
@@ -96,7 +94,7 @@ class SMatrix:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
 
-def build_smatrix(ctx, zero_tol=1e-9):
+def build_smatrix(ctx):
     """Evaluate the Weyl-sum S-matrix on all basis pairs of the context."""
     rs = ctx.rs
     mats, signs = weyl_group(rs)
@@ -117,7 +115,7 @@ def build_smatrix(ctx, zero_tol=1e-9):
     pref = (1j) ** (rs.num_positive_roots % 4) / math.sqrt(
         rs.coroot_lattice_index * kappa**rs.rank
     )
-    sm = SMatrix(ctx, pref * total, zero_tol)
+    sm = SMatrix(ctx, pref * total)
     resid = sm.unitarity_residual()
     if resid > 1e-6:
         raise NumericDegradationError(f"S-matrix unitarity residual {resid:.3e}")

@@ -62,10 +62,10 @@ def test_verify_passes(capsys):
         assert r["counterexamples"] == []
 
 
-def test_verify_horizon_and_threads(capsys):
+def test_verify_horizon(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--family", "A", "--rank", "1", "--level", "2",
-        "--horizon", "4", "--threads", "2",
+        "--horizon", "4",
     )
     assert code == 0
     reports = json.loads(out)
@@ -157,17 +157,27 @@ def test_usage_errors(argv, capsys):
     assert code == 2
 
 
-def test_bad_horizon_is_usage_error(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "A", "--rank", "1", "--level", "2",
+         "--horizon", "frog"),
+        ("ring", "--family", "Z", "--rank", "2", "--level", "2"),
+        # Each subcommand rejects the flags it does not read.
+        ("ring", "--family", "A", "--rank", "2", "--level", "2", "--tol", "1e-3"),
+        ("ring", "--family", "A", "--rank", "2", "--level", "2", "--horizon", "3"),
+        ("verify", "--family", "A", "--rank", "2", "--level", "2", "--threads", "2"),
+        ("verify", "--family", "A", "--rank", "2", "--level", "2", "--format", "csv"),
+        ("smatrix", "--family", "A", "--rank", "2", "--level", "2", "--horizon", "3"),
+    ],
+    ids=[
+        "bad-horizon", "bad-family", "ring-tol", "ring-horizon",
+        "verify-threads", "verify-format", "smatrix-horizon",
+    ],
+)
+def test_argument_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--family", "A", "--rank", "1", "--level", "2",
-              "--horizon", "frog"])
-    capsys.readouterr()
-    assert exc.value.code == 2
-
-
-def test_bad_family_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["ring", "--family", "Z", "--rank", "2", "--level", "2"])
+        main(list(argv))
     capsys.readouterr()
     assert exc.value.code == 2
 
