@@ -167,21 +167,6 @@ def _outer_generators(family, rank):
     return []
 
 
-def _conjugation_perm(family, rank):
-    """Action of -w0 on vertices, extended by fixing the affine vertex."""
-    r = rank
-    perm = list(range(r + 1))
-    if family == "A":
-        for i in range(1, r + 1):
-            perm[i] = r + 1 - i
-    elif family == "D" and r % 2 == 1:
-        perm[r - 1], perm[r] = r, r - 1
-    elif family == "E" and r == 6:
-        perm[1], perm[5] = 5, 1
-        perm[2], perm[4] = 4, 2
-    return tuple(perm)
-
-
 def _simple_current_targets(family, rank):
     """Image of the affine vertex under the simple current attached to each
     finite vertex a (0 means the identity current)."""
@@ -202,23 +187,6 @@ def _simple_current_targets(family, rank):
     if family == "E" and r == 7:
         return {1: 0, 2: 0, 3: 0, 4: 6, 5: 0, 6: 6, 7: 6}
     return {a: 0 for a in range(1, r + 1)}
-
-
-def _minuscule_vertices(family, rank):
-    r = rank
-    if family == "A":
-        return tuple(range(1, r + 1))
-    if family == "B":
-        return (1,)
-    if family == "C":
-        return (r,)
-    if family == "D":
-        return (1, r - 1, r)
-    if family == "E" and r == 6:
-        return (1, 5)
-    if family == "E" and r == 7:
-        return (6,)
-    return ()
 
 
 class RootSystem:
@@ -292,7 +260,7 @@ class RootSystem:
         self._build_roots()
         self._build_affine()
         self._build_automorphisms()
-        self.minuscule_vertices = _minuscule_vertices(fam, r)
+        self.minuscule_vertices = tuple(a for a in range(1, r + 1) if self.marks[a] == 1)
 
         self._mult_cache = {}
         self._dim_cache = {}
@@ -400,13 +368,13 @@ class RootSystem:
         if len(self.outer_group) != abs(self.cartan_det):
             raise AssertionError("outer automorphism group has wrong order")
 
-        conj = _conjugation_perm(fam, r)
+        # -w0 sends omega_i to the fundamental weight dominant_conjugate(-omega_i);
+        # the affine vertex stays fixed.
+        conj = [0]
         for i in range(1, r + 1):
             neg = tuple(-x for x in self.fundamental_weight(i))
-            expect = self.fundamental_weight(conj[i])
-            if self.dominant_conjugate(neg) != expect:
-                raise AssertionError("conjugation permutation is wrong")
-        self.conj_perm = conj
+            conj.append(1 + self.dominant_conjugate(neg).index(1))
+        self.conj_perm = tuple(conj)
 
         targets = _simple_current_targets(fam, r)
         tau = {}

@@ -105,7 +105,8 @@ def cmd_verify(args):
     else:
         reports.append(solution.report)
         try:
-            kns = kns_report(ctx, grid=grid, solution=solution, tol=args.tol)
+            sm = build_smatrix(ctx)
+            kns = kns_report(ctx, sm, grid=grid, solution=solution, tol=args.tol)
             reports.append(kns.report)
         except (KRDataUnavailableError, OracleUnavailableError) as e:
             reports.append(unsupported_report(ctx, "kns", str(e)))

@@ -14,7 +14,10 @@ import os
 import tempfile
 from typing import NamedTuple
 
+import numpy as np
+
 _REDUCE_CAP = 10**6
+_CACHE_DIM_RTOL = 1e-9
 
 
 class ReductionLimitError(RuntimeError):
@@ -155,6 +158,15 @@ class FusionContext:
     def unit(self):
         return FusionElement({self.unit_weight: 1})
 
+    def coefficients(self, elems):
+        """Int64 matrix whose entry (i, j) is the coefficient of basis[j]
+        in elems[i]."""
+        out = np.zeros((len(elems), len(self.basis)), dtype=np.int64)
+        for i, u in enumerate(elems):
+            for w, c in u.terms.items():
+                out[i, self.basis_index[w]] = c
+        return out
+
     # -- product cache persistence -------------------------------------------
 
     def _cache_path(self):
@@ -162,9 +174,13 @@ class FusionContext:
         return os.path.join(self._cache_dir, name)
 
     def _load_cache(self):
+        """Load the product table unless any entry fails a check: basis
+        weights only, positive integer coefficients, and the quantum
+        dimension identity d(la) d(mu) = sum c_nu d(nu)."""
         try:
             with open(self._cache_path()) as fh:
                 raw = json.load(fh)
+            dim = dict(zip(self.basis, _quantum_dimensions(self, self.basis).tolist()))
             loaded = {}
             for key, pairs in raw["products"].items():
                 a, b = key.split("|")
@@ -173,11 +189,16 @@ class FusionContext:
                 if wa not in self.basis_index or wb not in self.basis_index:
                     raise ValueError("stale basis")
                 terms = {}
+                rhs = 0.0
                 for wl, c in pairs:
                     wt = tuple(int(x) for x in wl)
-                    if wt not in self.basis_index or not isinstance(c, int):
+                    if wt not in self.basis_index or type(c) is not int or c <= 0:
                         raise ValueError("stale term")
                     terms[wt] = c
+                    rhs += c * dim[wt]
+                lhs = dim[wa] * dim[wb]
+                if abs(lhs - rhs) > _CACHE_DIM_RTOL * lhs:
+                    raise ValueError("quantum dimensions disagree")
                 loaded[(wa, wb)] = terms
         except (OSError, ValueError, KeyError, AttributeError, TypeError):
             # Unreadable or mismatched cache: recompute from scratch.
@@ -316,12 +337,12 @@ def conjugate(ctx, u):
     return u.relabel(ctx.rs.conj_perm)
 
 
-def apply_outer(ctx, perm, u, check=True):
+def apply_outer(ctx, perm, u):
     """Act by an extended-diagram automorphism.
 
-    The action relabels vertices; with check=True the result is verified
-    against the equivalent route of multiplying by the corresponding
-    simple-current basis element.
+    The action relabels vertices; the result is verified against the
+    equivalent route of multiplying by the corresponding simple-current
+    basis element.
     """
     rs = ctx.rs
     perm = tuple(perm)
@@ -330,15 +351,32 @@ def apply_outer(ctx, perm, u, check=True):
     if not isinstance(u, FusionElement):
         u = ctx.basis_element(u)
     relabeled = u.relabel(perm)
-    if check:
-        current = [0] * (rs.rank + 1)
-        current[perm[0]] = ctx.level
-        via_product = fusion_product(ctx, ctx.basis_element(current), u)
-        if via_product != relabeled:
-            raise AssertionError(
-                "outer automorphism disagrees with its simple current"
-            )
+    current = [0] * (rs.rank + 1)
+    current[perm[0]] = ctx.level
+    if fusion_product(ctx, ctx.basis_element(current), u) != relabeled:
+        raise AssertionError("outer automorphism disagrees with its simple current")
     return relabeled
+
+
+def quantum_dimension(ctx, w):
+    """Sine-product quantum dimension of one basis weight (a float)."""
+    return float(_quantum_dimensions(ctx, [w])[0])
+
+
+def _quantum_dimensions(ctx, weights):
+    """Sine-product quantum dimensions of finite or affine weights, as an
+    array: the product over positive roots alpha of
+    sin(pi (la+rho|alpha) / kappa), divided by its value at la = 0."""
+    rs = ctx.rs
+    gram = np.array([[float(x) for x in row] for row in rs.gram])
+    kappa = ctx.level + rs.dual_coxeter
+    pairing = gram @ np.array(rs.positive_roots, dtype=float).T / kappa
+    shifted = np.array([tuple(w)[-rs.rank :] for w in weights], dtype=float) + 1
+
+    def sines(x):
+        return np.prod(np.sin(np.pi * (x @ pairing)), axis=-1)
+
+    return sines(shifted) / sines(np.ones(rs.rank))
 
 
 # -- serialization ------------------------------------------------------------

@@ -25,11 +25,10 @@ from .fusion import (
     conjugate,
     fusion_product,
 )
-from .smatrix import (
-    build_smatrix,
-    element_quantum_dimension,
-    generalized_qdim,
-)
+from .smatrix import qdim_table
+
+# Strictness margin of the positivity and monotonicity items in kns_report.
+_MARGIN = 1e-10
 
 
 class KRDataUnavailableError(ValueError):
@@ -83,7 +82,9 @@ def kr_classical_components(rs, a, m):
     if fam == "A":
         return single()
 
-    if fam == "B":
+    if fam in "BD":
+        if fam == "D" and a >= r - 1:
+            return single()
         ta = rs.t[a - 1]
         lower = list(range(a - 2, 0, -2))
         # Even vertices carry a trivial summand slot; odd ones do not.
@@ -111,22 +112,6 @@ def kr_classical_components(rs, a, m):
                 w[a - 1] = ka
                 for j, c in zip(range(a - 1, 0, -1), combo):
                     w[j - 1] = 2 * c
-                out.append(tuple(w))
-        return tuple(sorted(out, reverse=True))
-
-    if fam == "D":
-        if a >= r - 1:
-            return single()
-        lower = list(range(a - 2, 0, -2))
-        slots = len(lower) + (1 if a % 2 == 0 else 0)
-        out = []
-        for total in range(m + 1):
-            ka = m - total
-            for combo in _compositions(total, slots):
-                w = [0] * r
-                w[a - 1] = ka
-                for j, c in zip(lower, combo):
-                    w[j - 1] = c
                 out.append(tuple(w))
         return tuple(sorted(out, reverse=True))
 
@@ -501,13 +486,7 @@ def admissibility_matrix(ctx, a, m, solution=None):
     if solution is None:
         solution = restricted_solution(ctx)
     R = solution.get(a, m)
-    n = len(ctx.basis)
-    out = np.zeros((n, n), dtype=np.int64)
-    for i, la in enumerate(ctx.basis):
-        prod = fusion_product(ctx, R, ctx.basis_element(la))
-        for w, c in prod.terms.items():
-            out[i, ctx.basis_index[w]] = c
-    return out
+    return ctx.coefficients([fusion_product(ctx, R, b) for b in ctx.basis])
 
 
 # -- zero strings and uniqueness over numeric tables --------------------------
@@ -747,7 +726,7 @@ class KNSReport:
     f: dict
 
 
-def kns_report(ctx, grid=None, solution=None, tol=1e-9, margin=1e-10):
+def kns_report(ctx, sm, grid=None, solution=None, tol=1e-9):
     """Verify the quantum-dimension consequences of the grid structure.
 
     Covers, per vertex: positivity and strict increase of the dimension
@@ -756,6 +735,7 @@ def kns_report(ctx, grid=None, solution=None, tol=1e-9, margin=1e-10):
     of the coupling matrix, the damped product system against the
     dimension ratios, and the probe-weight identities (restricted route
     against the KR route, twisted symmetry, boundary phase, zero string).
+    Every dimension comes from the S-matrix sm over ctx's basis.
     """
     rs = ctx.rs
     k = ctx.level
@@ -763,31 +743,34 @@ def kns_report(ctx, grid=None, solution=None, tol=1e-9, margin=1e-10):
         grid = WGrid(ctx)
     if solution is None:
         solution = restricted_solution(ctx, grid=grid)
-    sm = build_smatrix(ctx)
     rep = _new_report(ctx, "kns")
     kappa = k + rs.dual_coxeter
+    unit = ctx.basis_index[ctx.unit_weight]
 
+    # Per vertex, generalized quantum dimensions at every probe (columns)
+    # of the grid rows m < t_a kappa and of the restricted rows m <= t_a k.
+    qd = {}
+    qd_R = {}
     dims = {}
     for a in range(1, rs.rank + 1):
         ta = rs.t[a - 1]
-        dims[a] = [
-            element_quantum_dimension(ctx, grid.get(a, m))
-            for m in range(ta * kappa)
-        ]
+        qd[a] = qdim_table(sm, [grid.get(a, m) for m in range(ta * kappa)])
+        qd_R[a] = qdim_table(sm, [solution.get(a, m) for m in range(ta * k + 1)])
+        dims[a] = qd[a][:, unit].real.tolist()
 
     for a in range(1, rs.rank + 1):
         ta = rs.t[a - 1]
         s = ta * k // 2
         D = dims[a]
         for m in range(ta * k + 1):
-            rep.add("positivity", a, m, D[m] > margin)
+            rep.add("positivity", a, m, D[m] > _MARGIN)
         for m in range(ta * k + 1):
             rep.add("palindrome", a, m, abs(D[m] - D[ta * k - m]) <= tol)
         rep.add("terminal", a, ta * k, abs(D[ta * k] - 1.0) <= tol)
         for m in range(ta * k + 1, ta * kappa):
             rep.add("zero-string", a, m, abs(D[m]) <= tol)
         for m in range(1, s + 1):
-            rep.add("monotone", a, m, D[m] - D[m - 1] > margin)
+            rep.add("monotone", a, m, D[m] - D[m - 1] > _MARGIN)
 
     points, K = coupling_matrix(rs, k)
     rep.add("coupling-posdef", None, None, _principal_minors_positive(K))
@@ -807,41 +790,28 @@ def kns_report(ctx, grid=None, solution=None, tol=1e-9, margin=1e-10):
     # dimensions stay away from zero.  Items carry the probe's basis
     # index in the m slot.
     for mu_idx, mu in enumerate(ctx.basis):
-        mu_fin = mu[1:]
-        ok_probe = True
-        qd = {}
-        for a in range(1, rs.rank + 1):
-            ta = rs.t[a - 1]
-            qd[a] = [
-                generalized_qdim(sm, grid.get(a, m), mu)
-                for m in range(ta * kappa)
-            ]
-            if any(
-                abs(qd[a][m]) <= tol for m in range(ta * k // 2 + 1)
-            ):
-                ok_probe = False
-        if not ok_probe:
+        if any(
+            np.any(np.abs(qd[a][: rs.t[a - 1] * k // 2 + 1, mu_idx]) <= tol)
+            for a in range(1, rs.rank + 1)
+        ):
             rep.skip("probe", None, mu_idx, f"mu={list(mu)}: zero in lower half")
             continue
         for a in range(1, rs.rank + 1):
-            ta = rs.t[a - 1]
+            top = rs.t[a - 1] * k
+            col, col_R = qd[a][:, mu_idx], qd_R[a][:, mu_idx]
             phase = cmath.exp(
                 -2j
                 * math.pi
-                * float(rs.ip(rs.fundamental_weight(rs.tau_table[a][0]), mu_fin))
+                * float(rs.ip(rs.fundamental_weight(rs.tau_table[a][0]), mu[1:]))
             )
-            oks = {"qdim-match": True, "qdim-sym": True, "qdim-boundary": True, "qdim-zero": True}
-            for m in range(ta * k + 1):
-                via_R = generalized_qdim(sm, solution.get(a, m), mu)
-                if abs(qd[a][m] - via_R) > tol:
-                    oks["qdim-match"] = False
-                if abs(qd[a][m] - qd[a][ta * k] * qd[a][ta * k - m].conjugate()) > tol:
-                    oks["qdim-sym"] = False
-            if abs(qd[a][ta * k] - phase) > tol:
-                oks["qdim-boundary"] = False
-            for m in range(ta * k + 1, ta * kappa):
-                if abs(qd[a][m]) > tol:
-                    oks["qdim-zero"] = False
+            oks = {
+                "qdim-match": np.all(np.abs(col[: top + 1] - col_R) <= tol),
+                "qdim-sym": np.all(
+                    np.abs(col[: top + 1] - col[top] * col[top::-1].conj()) <= tol
+                ),
+                "qdim-boundary": abs(col[top] - phase) <= tol,
+                "qdim-zero": np.all(np.abs(col[top + 1 :]) <= tol),
+            }
             for key, ok in oks.items():
                 rep.add(key, a, mu_idx, ok, f"mu={list(mu)}")
     return KNSReport(report=rep, dims=dims, points=points, x=x, f=f)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .fusion import FusionElement
+from .fusion import FusionElement, quantum_dimension
 
 _WEYL_RANK_CAP = 6
 _CHUNK = 4096
@@ -176,19 +176,6 @@ def verlinde_matrix(sm, resid_tol=1e-6):
     return out, resid
 
 
-def quantum_dimension(ctx, w):
-    """Sine-product quantum dimension of one basis weight (a float)."""
-    rs = ctx.rs
-    kappa = ctx.level + rs.dual_coxeter
-    la = tuple(w)[1:] if len(w) == rs.rank + 1 else tuple(w)
-    shifted = tuple(x + 1 for x in la)
-    num = den = 1.0
-    for alpha in rs.positive_roots:
-        num *= math.sin(math.pi * float(rs.ip(shifted, alpha)) / kappa)
-        den *= math.sin(math.pi * float(rs.ip(rs.rho, alpha)) / kappa)
-    return num / den
-
-
 def element_quantum_dimension(ctx, u):
     """Quantum dimension extended linearly to ring elements."""
     if not isinstance(u, FusionElement):
@@ -196,14 +183,15 @@ def element_quantum_dimension(ctx, u):
     return sum(c * quantum_dimension(ctx, w) for w, c in u.terms.items())
 
 
+def qdim_table(sm, elems):
+    """Generalized quantum dimensions of every element at every probe:
+    entry (i, j) is sum_la Z_la S[la, mu_j] / S[0, mu_j] for Z = elems[i]."""
+    S = sm.matrix
+    return sm.ctx.coefficients(elems) @ S / S[sm.index(sm.ctx.unit_weight)]
+
+
 def generalized_qdim(sm, u, mu):
     """qdim at a probe weight mu-hat: sum of Z_la * S[la, mu] / S[0, mu]."""
-    ctx = sm.ctx
     if not isinstance(u, FusionElement):
-        u = ctx.basis_element(u)
-    col = sm.index(mu)
-    zero = ctx.basis_index[ctx.unit_weight]
-    s0 = sm.matrix[zero, col]
-    return complex(
-        sum(c * sm.matrix[sm.index(w), col] for w, c in u.terms.items()) / s0
-    )
+        u = sm.ctx.basis_element(u)
+    return complex(qdim_table(sm, [u])[0, sm.index(mu)])

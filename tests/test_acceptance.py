@@ -329,12 +329,13 @@ def test_criterion_07_restricted_grid(make_ctx):
     print("CRITERION 7 (restricted solution + gluing, 21 cases): PASS")
 
 
-def test_criterion_08_kns_dimensions(make_ctx):
+def test_criterion_08_kns_dimensions(make_ctx, make_sm):
     worst_gap = 0.0
     for family, rank, level in MATRIX:
         ctx, grid = case_grid(make_ctx, family, rank, level)
         sol = restricted_solution(ctx, grid=grid)
-        out = kns_report(ctx, grid=grid, solution=sol, tol=1e-9, margin=1e-10)
+        sm = make_sm(family, rank, level)
+        out = kns_report(ctx, sm, grid=grid, solution=sol, tol=1e-9)
         rep = out.report
         assert rep.ok, (family, rank, level, rep.counterexamples[:3])
         for (a, m), fv in out.f.items():

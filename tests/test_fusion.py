@@ -233,8 +233,8 @@ def _ctx_a2k2():
 def test_apply_outer_matches_simple_current(make_ctx):
     """Relabeling by tau_a equals multiplying by the current V_{k omega_a}.
 
-    apply_outer verifies this internally with check=True; the assertion
-    here exercises the product route explicitly.
+    apply_outer verifies this internally; the assertion here exercises the
+    product route explicitly.
     """
     for key in [("A", 3, 2), ("D", 4, 2), ("E", 6, 2)]:
         ctx = make_ctx(*key)
@@ -247,7 +247,7 @@ def test_apply_outer_matches_simple_current(make_ctx):
             cur = ctx.basis_element(current)
             for w in ctx.basis:
                 lhs = fusion_product(ctx, cur, w)
-                assert lhs == apply_outer(ctx, perm, w, check=False)
+                assert lhs == apply_outer(ctx, perm, w)
 
 
 def test_apply_outer_distributes_over_products(make_ctx):
@@ -332,11 +332,43 @@ def test_product_cache_round_trip(tmp_path, make_rs):
     assert fusion_product(second, x, x) == expect
 
 
-def test_product_cache_ignores_garbage(tmp_path, make_rs):
+def _tamper_entry(raw, edit):
+    """Apply edit to the term list of the product with the most terms."""
+    products = raw["products"]
+    key = max(products, key=lambda k: (len(products[k]), k))
+    edit(products[key])
+    return key
+
+
+CACHE_CORRUPTIONS = {
+    "not-json": None,
+    "plus-5": lambda pairs: pairs[0].__setitem__(1, pairs[0][1] + 5),
+    "dropped-term": lambda pairs: pairs.pop(),
+    # The tampered entry is V[1,1,1]^2, which has no V[2,1,0] term.
+    "extra-term": lambda pairs: pairs.append([[2, 1, 0], 1]),
+    "negative": lambda pairs: pairs[0].__setitem__(1, -pairs[0][1]),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CACHE_CORRUPTIONS))
+def test_product_cache_ignores_garbage(tmp_path, make_rs, corruption):
+    """A corrupt or tampered cache file is rejected as a whole."""
     rs = make_rs("A", 2)
-    probe = FusionContext(rs, 2, cache_dir=str(tmp_path))
+    probe = FusionContext(rs, 3, cache_dir=str(tmp_path))
+    for u in probe.basis:
+        for v in probe.basis:
+            fusion_product(probe, u, v)
     probe.save_cache()
-    for f in tmp_path.iterdir():
-        f.write_text("not json {")
-    ctx = FusionContext(rs, 2, cache_dir=str(tmp_path))
-    assert fusion_product(ctx, ctx.unit(), ctx.unit()) == ctx.unit()
+    (path,) = tmp_path.iterdir()
+    edit = CACHE_CORRUPTIONS[corruption]
+    if edit is None:
+        path.write_text("not json {")
+        la = mu = probe.basis[1]
+    else:
+        raw = json.loads(path.read_text())
+        key = _tamper_entry(raw, edit)
+        path.write_text(json.dumps(raw))
+        la, mu = (tuple(int(x) for x in part.split(",")) for part in key.split("|"))
+    ctx = FusionContext(rs, 3, cache_dir=str(tmp_path))
+    assert not ctx._products
+    assert fusion_product(ctx, la, mu) == fusion_product(FusionContext(rs, 3), la, mu)

@@ -477,9 +477,9 @@ def test_solve_f_system_iteration_cap(make_rs):
     assert iters == 1
 
 
-def test_kns_su2(make_ctx):
+def test_kns_su2(make_ctx, make_sm):
     ctx = make_ctx("A", 1, 2)
-    out = kns_report(ctx)
+    out = kns_report(ctx, make_sm("A", 1, 2))
     assert out.report.ok
     D = out.dims[1]
     assert len(D) == 4
@@ -492,9 +492,9 @@ def test_kns_su2(make_ctx):
     assert abs(out.f[(1, 1)] - 0.5) < 1e-12
 
 
-def test_kns_probe_items(make_ctx):
+def test_kns_probe_items(make_ctx, make_sm):
     ctx = make_ctx("A", 2, 2)
-    out = kns_report(ctx)
+    out = kns_report(ctx, make_sm("A", 2, 2))
     assert out.report.ok
     ids = {i["id"] for i in out.report.items}
     assert {"positivity", "palindrome", "terminal", "zero-string", "monotone",
@@ -505,8 +505,8 @@ def test_kns_probe_items(make_ctx):
     assert not out.report.counterexamples
 
 
-def test_kns_b2(make_ctx):
-    out = kns_report(make_ctx("B", 2, 2))
+def test_kns_b2(make_ctx, make_sm):
+    out = kns_report(make_ctx("B", 2, 2), make_sm("B", 2, 2))
     assert out.report.ok
     for (a, m), fv in out.f.items():
         assert 0 < fv < 1
