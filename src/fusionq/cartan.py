@@ -206,6 +206,9 @@ class RootSystem:
         The same roots in simple-root coordinates, same order.
     marks, comarks : tuple of int
         Length rank+1 with the affine entry 1 in position 0.
+    coroot_rows, coroot_adjugate :
+        Dynkin labels of the simple coroots as matrix rows, and the
+        adjugate of that matrix; its determinant is coroot_lattice_index.
     conj_perm, outer_group, tau_table, sigma_table :
         Diagram-automorphism data over extended vertices {0..rank}.
     """
@@ -347,6 +350,19 @@ class RootSystem:
             if sum(c * x for c, x in zip(self.comarks, row)) != 0:
                 raise AssertionError("affine reflection row breaks the level")
         self.affine_reflection_rows = tuple(rows)
+
+        # Dynkin labels of the simple coroots t_i alpha_i and the adjugate of
+        # that matrix: translations by the coroot lattice are integer
+        # combinations of these rows.
+        coroots = [
+            [ti * x for x in root] for ti, root in zip(self.t, self.simple_roots)
+        ]
+        det = self.coroot_lattice_index
+        adj = [[x * det for x in row] for row in _mat_inverse(coroots)]
+        if any(x.denominator != 1 for row in adj for x in row):
+            raise AssertionError("coroot matrix must have an integral adjugate")
+        self.coroot_rows = tuple(tuple(row) for row in coroots)
+        self.coroot_adjugate = tuple(tuple(int(x) for x in row) for row in adj)
 
     def _build_automorphisms(self):
         fam, r = self.type.family, self.rank

@@ -17,11 +17,17 @@ from typing import NamedTuple
 import numpy as np
 
 _REDUCE_CAP = 10**6
+# Every int64 intermediate of alcove_reduce_many stays below this.
+_INT64_HEADROOM = 2**62
 _CACHE_DIM_RTOL = 1e-9
 
 
 class ReductionLimitError(RuntimeError):
     """Alcove reduction failed to terminate within the iteration cap."""
+
+
+class ReductionOverflowError(ReductionLimitError):
+    """A weight coordinate is too large for exact int64 batched reduction."""
 
 
 class ReducedWeight(NamedTuple):
@@ -132,6 +138,20 @@ class FusionContext:
         self._products = {}
         self._cache_dir = cache_dir
         self._cache_dirty = False
+        # Integer data of alcove_reduce_many.  weight_bound keeps every int64
+        # intermediate below _INT64_HEADROOM: the level pairing, the coroot
+        # coordinates (at most adj_sum times a coordinate) and the translation
+        # (kappa n) @ coroots (at most (adj_sum + kappa) * coroot_sum).
+        kappa = level + rs.dual_coxeter
+        self._comarks = np.array(rs.comarks, dtype=np.int64)
+        self._walls = np.array(rs.affine_reflection_rows, dtype=np.int64)
+        self._coroots = np.array(rs.coroot_rows, dtype=np.int64)
+        self._coroot_adj = np.array(rs.coroot_adjugate, dtype=np.int64)
+        adj_sum = int(np.abs(self._coroot_adj).sum(axis=0).max())
+        coroot_sum = int(np.abs(self._coroots).sum(axis=0).max())
+        self.weight_bound = _INT64_HEADROOM // (
+            (adj_sum + kappa) * coroot_sum + rs.dual_coxeter
+        )
         if cache_dir:
             self._load_cache()
 
@@ -281,6 +301,77 @@ def alcove_reduce(ctx, w, policy="first"):
     raise ReductionLimitError(f"no convergence after {_REDUCE_CAP} reflections")
 
 
+def alcove_reduce_many(ctx, weights):
+    """Reduce a batch of level-k affine weights to the fundamental alcove.
+
+    weights is an (N, rank+1) integer array.  Returns (signs, reduced): N
+    int64 signs and an (N, rank+1) int64 array, row by row what
+    alcove_reduce returns (a row whose sign is 0 holds no weight).
+
+    Works on the shifted weights mu = w + rho in two stages.  Translate: the
+    shifted affine Weyl group is W extended by the translations kappa Q-vee
+    (kappa = k + h-vee), which are even, so subtracting kappa sum n_i
+    alpha_i-vee, n the floor of mu's coroot coordinates over kappa, keeps the
+    sign and leaves mu in one box of kappa Q-vee.  Walk: reflect each row
+    still outside the alcove at its first negative coordinate; a row with a
+    zero coordinate lies on a wall and gets sign 0.
+    """
+    rs = ctx.rs
+    w = np.asarray(weights, dtype=np.int64)
+    if w.size == 0:
+        w = w.reshape(0, rs.rank + 1)
+    if w.ndim != 2 or w.shape[1] != rs.rank + 1:
+        raise ValueError("affine weight has wrong length")
+    if w.size and (w.max() >= ctx.weight_bound or w.min() <= -ctx.weight_bound):
+        raise ReductionOverflowError(
+            f"weight coordinates reach {ctx.weight_bound}, beyond exact int64"
+        )
+    off_level = np.flatnonzero(w @ ctx._comarks != ctx.level)
+    if off_level.size:
+        bad = tuple(w[off_level[0]].tolist())
+        raise ValueError(f"weight {bad} does not have level {ctx.level}")
+
+    kappa = ctx.level + rs.dual_coxeter
+    fin = w[:, 1:] + 1
+    n = (fin @ ctx._coroot_adj) // (kappa * rs.coroot_lattice_index)
+    fin -= kappa * (n @ ctx._coroots)
+    mu = np.column_stack((kappa - fin @ ctx._comarks[1:], fin))
+
+    signs = np.ones(len(mu), dtype=np.int64)
+    live = np.arange(len(mu))
+    for _ in range(_REDUCE_CAP):
+        cur = mu[live]
+        on_wall = (cur == 0).any(axis=1)
+        signs[live[on_wall]] = 0
+        neg = cur < 0
+        moving = neg.any(axis=1) & ~on_wall
+        live, cur, neg = live[moving], cur[moving], neg[moving]
+        if not live.size:
+            return signs, mu - 1
+        i = neg.argmax(axis=1)
+        c = cur[np.arange(live.size), i]
+        mu[live] = cur - c[:, None] * ctx._walls[i]
+        signs[live] *= -1
+    raise ReductionLimitError(f"no convergence after {_REDUCE_CAP} reflections")
+
+
+def reduced_terms(ctx, finite, mults=None):
+    """Terms dict of sum_i mults[i] * sign_i * V[reduced_i] over the alcove
+    reductions of the rows of an (N, rank) array of finite weights, each
+    affinized to the context's level (mults defaults to all 1)."""
+    fin = np.asarray(finite, dtype=np.int64)
+    weights = np.column_stack((ctx.level - fin @ ctx._comarks[1:], fin))
+    signs, reduced = alcove_reduce_many(ctx, weights)
+    if mults is not None:
+        signs *= np.asarray(mults, dtype=np.int64)
+    acc = {}
+    for c, w in zip(signs.tolist(), reduced.tolist()):
+        if c:
+            w = tuple(w)
+            acc[w] = acc.get(w, 0) + c
+    return acc
+
+
 def _basis_product(ctx, la, mu):
     key = (la, mu) if la <= mu else (mu, la)
     cached = ctx._products.get(key)
@@ -298,12 +389,9 @@ def _basis_product(ctx, la, mu):
             small, big = fa, fb
         else:
             small, big = fb, fa
-        acc = {}
-        for nu, mult in rs.weight_multiplicities(small).items():
-            shifted = tuple(x + y for x, y in zip(big, nu))
-            red = alcove_reduce(ctx, affinize(ctx, shifted))
-            if red.sign:
-                acc[red.weight] = acc.get(red.weight, 0) + red.sign * mult
+        weights = rs.weight_multiplicities(small).multiplicity
+        shifted = np.array(list(weights), dtype=np.int64) + np.array(big)
+        acc = reduced_terms(ctx, shifted, list(weights.values()))
         result = {w: c for w, c in sorted(acc.items()) if c}
         for c in result.values():
             if c < 0:

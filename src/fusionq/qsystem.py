@@ -19,11 +19,10 @@ import numpy as np
 from .fusion import (
     FusionContext,
     FusionElement,
-    affinize,
-    alcove_reduce,
     apply_outer,
     conjugate,
     fusion_product,
+    reduced_terms,
 )
 from .smatrix import qdim_table
 
@@ -124,12 +123,7 @@ def kr_classical_components(rs, a, m):
 
 def kr_element(ctx, a, m):
     """Fusion-ring image of the classical character of one KR module."""
-    acc = {}
-    for w in kr_classical_components(ctx.rs, a, m):
-        red = alcove_reduce(ctx, affinize(ctx, w))
-        if red.sign:
-            acc[red.weight] = acc.get(red.weight, 0) + red.sign
-    return FusionElement(acc)
+    return FusionElement(reduced_terms(ctx, kr_classical_components(ctx.rs, a, m)))
 
 
 def period_multiplier(rs):

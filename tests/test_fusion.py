@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +11,12 @@ from fusionq import (
     FusionContext,
     FusionElement,
     ReducedWeight,
+    ReductionLimitError,
+    ReductionOverflowError,
+    WGrid,
     affinize,
     alcove_reduce,
+    alcove_reduce_many,
     apply_outer,
     build_root_system,
     conjugate,
@@ -19,7 +24,10 @@ from fusionq import (
     element_to_json,
     enumerate_basis,
     fusion_product,
+    kr_classical_components,
+    kr_element,
 )
+from fusionq import fusion
 
 BASIS_SIZES = {
     ("A", 1, 2): 3,
@@ -117,6 +125,164 @@ def test_alcove_reduce_policy_independent_b2(fin):
     first = alcove_reduce(ctx, affinize(ctx, fin), policy="first")
     last = alcove_reduce(ctx, affinize(ctx, fin), policy="last")
     assert first == last
+
+
+# -- batched reduction against the scalar reference -------------------------
+
+REDUCE_ALGEBRAS = (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+    ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("D", 5),
+    ("E", 6), ("E", 7), ("E", 8),
+    ("F", 4), ("G", 2),
+)  # fmt: skip
+
+
+def _assert_matches_reference(ctx, weights):
+    """alcove_reduce_many agrees with alcove_reduce on every row."""
+    signs, reduced = alcove_reduce_many(ctx, weights)
+    assert signs.shape == (len(weights),)
+    assert reduced.shape == (len(weights), ctx.rs.rank + 1)
+    assert signs.dtype == reduced.dtype == np.int64
+    for w, sign, red in zip(weights, signs.tolist(), reduced.tolist()):
+        ref = alcove_reduce(ctx, tuple(w))
+        assert sign == ref.sign, w
+        if sign:
+            assert tuple(red) == ref.weight, w
+    return signs
+
+
+# The first call of a numpy path can exceed hypothesis's default deadline.
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_alcove_reduce_many_matches_reference(data, make_ctx):
+    family, rank = data.draw(st.sampled_from(REDUCE_ALGEBRAS))
+    ctx = make_ctx(family, rank, data.draw(st.integers(1, 4)))
+    # Coordinates this far out put the weight several kappa-boxes away, so
+    # the translation stage moves it before the walk starts.
+    finite = st.tuples(*[st.integers(-60, 60)] * rank)
+    rows = data.draw(st.lists(finite, max_size=6))
+    _assert_matches_reference(ctx, [affinize(ctx, f) for f in rows])
+
+
+def test_alcove_reduce_many_wall_rows(make_ctx):
+    ctx = make_ctx("A", 2, 3)
+    rows = [
+        (-1, 3, 1),  # on a wall before any move
+        (4, -1, 0),
+        (23, -12, -8),  # on a wall right after the translation
+        (22, -12, -7),  # on a wall after one reflection
+        (-18, 9, 12),  # off the walls: reduces to +V[3,0,0]
+    ]
+    assert _assert_matches_reference(ctx, rows).tolist() == [0, 0, 0, 0, 1]
+    # Translated onto a wall: A1 at level 1 has kappa = 3.
+    su2 = make_ctx("A", 1, 1)
+    assert _assert_matches_reference(su2, [(-4, 5)]).tolist() == [0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_alcove_reduce_many_batch_shapes(n, make_ctx):
+    ctx = make_ctx("B", 3, 3)
+    rows = [affinize(ctx, (i - 3, 5 * i, -2 * i)) for i in range(n)]
+    _assert_matches_reference(ctx, rows)
+    signs, reduced = alcove_reduce_many(ctx, np.array(rows, dtype=np.int64))
+    assert signs.shape == (n,) and reduced.shape == (n, 4)
+
+
+def test_alcove_reduce_many_validates_like_reference(make_ctx):
+    ctx = make_ctx("A", 2, 3)
+    for bad, batch in [
+        ((1, 2), [(1, 2)] * 2),  # wrong length
+        ((1, 1, 1, 0), [(1, 1, 1, 0)]),
+        ((1, 1, 2), [ctx.basis[0], (1, 1, 2), (4, 0, 0)]),  # wrong level
+    ]:
+        with pytest.raises(ValueError) as ref:
+            alcove_reduce(ctx, bad)
+        with pytest.raises(ValueError) as many:
+            alcove_reduce_many(ctx, batch)
+        assert str(many.value) == str(ref.value)
+
+
+def test_reduction_cap_on_both_paths(make_ctx, monkeypatch):
+    """_REDUCE_CAP counts loop passes; the pass that finds the weight
+    dominant is one of them.  (-18, 9, 12) at A2 level 3 takes 6 scalar
+    reflections, and 2 after the translation."""
+    ctx = make_ctx("A", 2, 3)
+    w = (-18, 9, 12)
+    expect = alcove_reduce(ctx, w)
+    for cap, scalar_ok, batched_ok in [(1, False, False), (2, False, False),
+                                       (3, False, True), (6, False, True),
+                                       (7, True, True)]:  # fmt: skip
+        monkeypatch.setattr(fusion, "_REDUCE_CAP", cap)
+        if scalar_ok:
+            assert alcove_reduce(ctx, w) == expect
+        else:
+            with pytest.raises(ReductionLimitError):
+                alcove_reduce(ctx, w)
+        if batched_ok:
+            signs, reduced = alcove_reduce_many(ctx, [w])
+            assert (signs[0], tuple(reduced[0].tolist())) == expect
+        else:
+            with pytest.raises(ReductionLimitError):
+                alcove_reduce_many(ctx, [w])
+
+
+def test_reduction_int64_bound(make_ctx):
+    """Coordinates below weight_bound reduce exactly; at the bound and near
+    2**62 the batched path raises instead of wrapping."""
+    ctx = make_ctx("A", 1, 1)
+    b = ctx.weight_bound
+    # On A1 the translation by kappa alpha-vee adds 2 kappa = 6 to the
+    # finite label, so the row reduces like the label mod 6.
+    x = b - 1
+    signs, reduced = alcove_reduce_many(ctx, [(1 - x, x)])
+    ref = alcove_reduce(ctx, (1 - x % 6, x % 6))
+    assert signs[0] == ref.sign
+    if ref.sign:
+        assert tuple(reduced[0].tolist()) == ref.weight
+    for row in [(1 - b, b), (1 + b, -b), (1 - 2**62, 2**62)]:
+        with pytest.raises(ReductionOverflowError):
+            alcove_reduce_many(ctx, [row])
+    e8 = make_ctx("E", 8, 2)
+    big = affinize(e8, (2**62 // 30,) + (0,) * 7)
+    with pytest.raises(ReductionOverflowError):
+        alcove_reduce_many(e8, [big])
+
+
+def _scalar_terms(ctx, finite, mults):
+    acc = {}
+    for f, mult in zip(finite, mults):
+        red = alcove_reduce(ctx, affinize(ctx, f))
+        if red.sign:
+            acc[red.weight] = acc.get(red.weight, 0) + red.sign * mult
+    return FusionElement(acc)
+
+
+@pytest.mark.parametrize(
+    "family,rank,level", [("A", 3, 3), ("B", 3, 3), ("C", 3, 3), ("D", 5, 3)]
+)
+def test_kr_element_matches_scalar_reference(family, rank, level, make_ctx):
+    """Two full predicted periods of every supported vertex."""
+    ctx = make_ctx(family, rank, level)
+    grid = WGrid(ctx)
+    for a in grid.vertices:
+        for m in range(2 * grid.default_horizon(a) + 1):
+            comps = kr_classical_components(ctx.rs, a, m)
+            expect = _scalar_terms(ctx, comps, [1] * len(comps))
+            assert kr_element(ctx, a, m) == expect, (a, m)
+
+
+@pytest.mark.parametrize("family,rank,level", [("A", 2, 3), ("B", 2, 2), ("G", 2, 2)])
+def test_basis_products_match_scalar_reference(family, rank, level, make_rs):
+    ctx = FusionContext(make_rs(family, rank), level)
+    rs = ctx.rs
+    for la in ctx.basis[1:]:
+        for mu in ctx.basis[1:]:
+            weights = rs.weight_multiplicities(la[1:]).multiplicity
+            shifted = [tuple(x + y for x, y in zip(mu[1:], nu)) for nu in weights]
+            expect = _scalar_terms(ctx, shifted, weights.values())
+            assert fusion_product(ctx, la, mu) == expect, (la, mu)
 
 
 _A2K3 = None
