@@ -1,22 +1,30 @@
 """Numeric modular data: S-matrix, Verlinde coefficients, quantum dimensions.
 
 This is the floating-point cross-check layer for the exact fusion engine.
-The S-matrix is evaluated from its defining Weyl-group sum, so building it
-requires enumerating the full finite Weyl group; that is intentionally
-capped at rank 6 (51840 elements for E6) to keep the oracle honest about
-where it is usable.
+For the classical families A-D each S-matrix entry is a Weyl-denominator
+determinant in epsilon-coordinates (Kac-Peterson): an (r+1)-square
+determinant of exponentials for A, an r-square sine determinant for B and
+C, and half the sum of a cosine and a sine determinant for D.  Their phases
+are exact integers reduced mod the order of one root-of-unity table.  E, F
+and G use the defining Weyl-group sum, which enumerates the whole finite
+Weyl group; that is capped at rank 6 (51840 elements for E6), so E7 and E8
+have no oracle.  Both paths work in blocks sized from _BLOCK_BYTES.  The
+Weyl sum (weyl_group, smatrix_entry) is the reference the determinants are
+tested against.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from .fusion import FusionElement, quantum_dimension
 
 _WEYL_RANK_CAP = 6
-_CHUNK = 4096
+# Working-set budget for one block of either S-matrix path.
+_BLOCK_BYTES = 1 << 25
 
 
 class OracleUnavailableError(ValueError):
@@ -94,24 +102,101 @@ class SMatrix:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
 
-def build_smatrix(ctx):
-    """Evaluate the Weyl-sum S-matrix on all basis pairs of the context."""
-    rs = ctx.rs
+def _epsilon_map(rs):
+    """Epsilon-coordinates of the classical families, exactly.
+
+    Returns (E, c): E is an m x r matrix of Fractions whose column a is
+    omega_{a+1} in epsilon-coordinates (m = r+1 for A, r otherwise), and
+    (x | y) = c * sum x_i y_i, so c * E^T E equals the Gram matrix.
+    """
+    fam, r = rs.type.family, rs.rank
+    m = r + 1 if fam == "A" else r
+    half = Fraction(1, 2)
+    cols = []
+    for a in range(1, r + 1):
+        col = [Fraction(int(i < a)) for i in range(m)]
+        if fam == "A":
+            # Project onto the hyperplane sum x_i = 0.
+            col = [x - Fraction(a, m) for x in col]
+        elif (fam == "B" and a == r) or (fam == "D" and a >= r - 1):
+            col = [half] * m
+            if fam == "D" and a == r - 1:
+                col[-1] = -half
+        cols.append(col)
+    E = [[cols[a][i] for a in range(r)] for i in range(m)]
+    c = half if fam == "C" else Fraction(1)
+    gram = [[c * sum(E[i][a] * E[i][b] for i in range(m)) for b in range(r)]
+            for a in range(r)]
+    if gram != [list(row) for row in rs.gram]:
+        raise AssertionError(f"epsilon map of {rs.type} does not give its Gram matrix")
+    return E, c
+
+
+def _determinant_sum(rs, kappa, shifted):
+    """Weyl sums over all basis pairs as Weyl-denominator determinants.
+
+    x = E(la+rho) and y = E(mu+rho) are scaled by the common denominator of
+    E to integer vectors, so every phase c x_i y_j / kappa is an integer
+    over one modulus and is read from one table of roots of unity.
+    """
+    E, c = _epsilon_map(rs)
+    den = math.lcm(*(x.denominator for row in E for x in row))
+    eps = np.array([[int(x * den) for x in row] for row in E], dtype=np.int64)
+    X = shifted @ eps.T  # (n, m) integer epsilon-coordinates
+    n, m = X.shape
+    # c is 1 or 1/2, so c x_i y_j / kappa = X_i Y_j / modulus.
+    modulus = int(den * den * kappa / c)
+    roots = np.exp(-2j * np.pi * np.arange(modulus) / modulus)
+    fam = rs.type.family
+    total = np.empty((n, n), dtype=np.complex128)
+    # Per row of la: n int64 index matrices and one gathered complex stack
+    # (24 bytes per matrix entry), with headroom for numpy temporaries.
+    rows = max(1, _BLOCK_BYTES // (n * m * m * 40))
+    for lo in range(0, n, rows):
+        idx = X[lo : lo + rows, None, :, None] * X[None, :, None, :]
+        idx %= modulus  # (rows, n, m, m)
+        if fam == "A":
+            block = np.linalg.det(roots[idx])
+        else:
+            # exp(-i t) - exp(i t) = 2i Im(exp(-i t)) is the sine entry.
+            block = (2j) ** m * np.linalg.det(roots.imag[idx])
+            if fam == "D":
+                # Even sign changes only: half the sine plus the cosine
+                # determinant, exp(-i t) + exp(i t) = 2 Re(exp(-i t)).
+                block = 0.5 * (block + 2.0**m * np.linalg.det(roots.real[idx]))
+        total[lo : lo + rows] = block
+    return total
+
+
+def _weyl_sum(rs, kappa, shifted):
+    """Weyl sums over all basis pairs from the explicit Weyl group."""
     mats, signs = weyl_group(rs)
-    kappa = ctx.level + rs.dual_coxeter
-    shifted = np.array([w[1:] for w in ctx.basis], dtype=np.int64) + 1
     gram = np.array([[float(x) for x in row] for row in rs.gram])
-    n = len(ctx.basis)
+    n, r = shifted.shape
     total = np.zeros((n, n), dtype=np.complex128)
     right = gram @ shifted.T  # (r, n)
-    for start in range(0, len(signs), _CHUNK):
-        wm = mats[start : start + _CHUNK]
-        ws = signs[start : start + _CHUNK]
+    # Per Weyl element: the moved weights, the real phases, and two complex
+    # temporaries of the exponential.
+    chunk = max(1, _BLOCK_BYTES // (n * (8 * r + 40 * n)))
+    for start in range(0, len(signs), chunk):
+        wm = mats[start : start + chunk]
+        ws = signs[start : start + chunk]
         moved = np.einsum("wij,nj->wni", wm, shifted)  # (chunk, n, r)
         phases = np.einsum("wni,im->wnm", moved, right)  # (chunk, n, n)
         total += np.einsum(
             "w,wnm->nm", ws.astype(np.complex128), np.exp(-2j * np.pi * phases / kappa)
         )
+    return total
+
+
+def build_smatrix(ctx):
+    """The S-matrix on all basis pairs of the context: Weyl-denominator
+    determinants for A-D, the explicit Weyl sum otherwise."""
+    rs = ctx.rs
+    kappa = ctx.level + rs.dual_coxeter
+    shifted = np.array([w[1:] for w in ctx.basis], dtype=np.int64) + 1
+    weyl_sums = _determinant_sum if rs.type.family in "ABCD" else _weyl_sum
+    total = weyl_sums(rs, kappa, shifted)
     pref = (1j) ** (rs.num_positive_roots % 4) / math.sqrt(
         rs.coroot_lattice_index * kappa**rs.rank
     )

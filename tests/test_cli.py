@@ -89,6 +89,18 @@ def test_verify_exceptional_unsupported(capsys):
     )
 
 
+def test_verify_kns_above_rank_6(capsys):
+    """Classical families have the determinant S-matrix at every rank."""
+    code, out, _ = run_cli(
+        capsys, "verify", "--family", "A", "--rank", "7", "--level", "2"
+    )
+    assert code == 0
+    kns = {r["check"]: r for r in json.loads(out)}["kns"]
+    statuses = {i["status"] for i in kns["items"]}
+    assert len(kns["items"]) > 1
+    assert "pass" in statuses and statuses <= {"pass", "skipped"}
+
+
 def test_verify_deterministic(capsys):
     args = ("verify", "--family", "C", "--rank", "2", "--level", "2")
     code1, first, _ = run_cli(capsys, *args)
@@ -148,7 +160,8 @@ def test_smatrix_out_csv_has_unix_endings(tmp_path, capsys):
         ("ring", "--family", "A", "--rank", "2", "--level", "1"),
         ("ring", "--family", "E", "--rank", "9", "--level", "2"),
         ("verify", "--family", "A", "--rank", "2", "--level", "0"),
-        ("smatrix", "--family", "D", "--rank", "7", "--level", "2"),
+        # E7 and E8 have no S-matrix oracle.
+        ("smatrix", "--family", "E", "--rank", "7", "--level", "2"),
     ],
 )
 def test_usage_errors(argv, capsys):

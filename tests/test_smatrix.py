@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from fusionq import (
     verlinde_matrix,
     weyl_group,
 )
+from fusionq.smatrix import _BLOCK_BYTES, _determinant_sum, _epsilon_map, _weyl_sum
 
 WEYL_ORDERS = {
     ("A", 2): 6,
@@ -64,6 +68,100 @@ def test_weyl_matrices_are_orthogonal_for_form(make_rs):
         mx = tuple(int(v) for v in m @ np.array(x))
         my = tuple(int(v) for v in m @ np.array(y))
         assert rs.ip(mx, my) == base
+
+
+CLASSICAL = [("A", r) for r in range(1, 6)] + [
+    (f, r) for f in "BC" for r in range(2, 6)
+] + [("D", r) for r in range(4, 7)]
+
+
+def _both_sums(ctx):
+    """The determinant and Weyl-group sums over all basis pairs, scaled
+    by the modulus of the S-matrix prefactor."""
+    rs = ctx.rs
+    kappa = ctx.level + rs.dual_coxeter
+    shifted = np.array([w[1:] for w in ctx.basis], dtype=np.int64) + 1
+    scale = 1 / math.sqrt(rs.coroot_lattice_index * kappa**rs.rank)
+    return (
+        scale * _determinant_sum(rs, kappa, shifted),
+        scale * _weyl_sum(rs, kappa, shifted),
+    )
+
+
+@pytest.mark.parametrize(
+    "family,rank,level",
+    [(f, r, k) for f, r in CLASSICAL for k in (1, 2, 3)] + [("A", 5, 5)],
+)
+def test_determinant_matches_weyl_sum(family, rank, level, make_ctx):
+    det, ref = _both_sums(make_ctx(family, rank, level))
+    assert np.max(np.abs(det - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 10)]
+    + [(f, r) for f in "BC" for r in range(2, 10)]
+    + [("D", r) for r in range(4, 10)],
+)
+def test_epsilon_map_gives_gram(family, rank, make_rs):
+    rs = make_rs(family, rank)
+    E, c = _epsilon_map(rs)
+    assert c == (Fraction(1, 2) if family == "C" else 1)
+    assert len(E) == (rank + 1 if family == "A" else rank)
+    for a in range(rank):
+        for b in range(rank):
+            assert c * sum(row[a] * row[b] for row in E) == rs.gram[a][b]
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_smatrix_peak_memory(make_ctx, make_rs):
+    """tracemalloc sees numpy buffers: the A5 k5 build stays far below the
+    (720, 252, 252) complex Weyl-sum intermediate, and the Weyl-sum path
+    stays within its block budget."""
+    assert _peak_bytes(build_smatrix, make_ctx("A", 5, 5)) < 200 * 2**20
+    weyl_group(make_rs("E", 6))  # cached on the root system, outside the peak
+    assert _peak_bytes(build_smatrix, make_ctx("E", 6, 2)) < _BLOCK_BYTES + 2**20
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 7), ("B", 7), ("C", 7), ("D", 7), ("D", 8), ("B", 9)]
+)
+def test_classical_smatrix_above_rank_6(family, rank, make_ctx):
+    ctx = make_ctx(family, rank, 2)
+    sm = build_smatrix(ctx)
+    assert sm.unitarity_residual() < 1e-12
+    assert sm.symmetry_residual() < 1e-12
+    # A factor of small dimension keeps the exact products cheap at these ranks.
+    small = [w for w in ctx.basis if ctx.rs.weyl_dimension(w[1:]) <= 600]
+    rng = random.Random(7)
+    for _ in range(20):
+        la, mu = rng.choice(small), rng.choice(ctx.basis)
+        prod = fusion_product(ctx, la, mu)
+        for nu in ctx.basis:
+            assert verlinde_coefficient(sm, la, mu, nu) == prod.coeff(nu)
+
+
+def test_no_oracle_for_e7_e8(make_ctx):
+    for rank in (7, 8):
+        with pytest.raises(OracleUnavailableError):
+            build_smatrix(make_ctx("E", rank, 2))
+
+
+@pytest.mark.parametrize("family,rank,level", [("G", 2, 3), ("F", 4, 2)])
+def test_weyl_sum_matches_entries(family, rank, level, make_sm):
+    sm = make_sm(family, rank, level)
+    for la in sm.basis[:5]:
+        for mu in sm.basis[:5]:
+            direct = smatrix_entry(sm.ctx, la[1:], mu[1:])
+            assert abs(sm.entry(la, mu) - direct) < 1e-12
 
 
 @pytest.mark.parametrize(
