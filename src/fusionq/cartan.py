@@ -6,7 +6,8 @@ positive roots, weight systems with Freudenthal multiplicities, and the
 diagram-automorphism tables used by the affine fusion machinery.
 
 Weights are plain tuples of ints in the fundamental-weight basis, index 0
-holding the coefficient of the first fundamental weight.  Vertex labels in
+holding the coefficient of the first fundamental weight; a weight system
+holds its weights as the rows of one read-only int64 array.  Vertex labels in
 the public API are 1-based to match the usual Dynkin diagram numbering;
 affine data (extended diagram, automorphism permutations) uses index 0 for
 the affine vertex.
@@ -18,6 +19,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+
+import numpy as np
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -498,9 +502,12 @@ class RootSystem:
     def weight_multiplicities(self, lam):
         """Full weight system of the irreducible with highest weight lam.
 
-        Returns a WeightSystem; multiplicities come from the Freudenthal
-        recursion evaluated in exact arithmetic, walking dominant weights
-        from the top down.
+        Returns a cached WeightSystem, built in three integer steps: the
+        dominant weights mu <= lam by a breadth-first search over mu - alpha
+        for positive roots alpha (Stembridge: dominant weights below lam are
+        linked by such steps), each Weyl orbit once from its dominant
+        representative, and the Freudenthal recursion on dominant weights
+        only, scaled by the Gram denominator.
         """
         lam = tuple(lam)
         cached = self._mult_cache.get(lam)
@@ -508,76 +515,109 @@ class RootSystem:
             return cached
         if any(c < 0 for c in lam):
             raise ValueError(f"highest weight must be dominant, got {lam}")
-        r = self.rank
+        roots = self.positive_roots
+        heights = [sum(rc) for rc in self.positive_root_coords]
 
-        # All weights: walk down by simple roots, keeping mu with
-        # dominant(mu) <= lam in the root-lattice order.
-        weights = {lam}
-        dom_ok = {lam: True}
+        # Dominant weights with their depth, the height of lam - mu.
+        depth = {lam: 0}
         frontier = [lam]
         while frontier:
             nxt = []
-            for x in frontier:
-                for i in range(r):
-                    y = tuple(
-                        xj - aj for xj, aj in zip(x, self.simple_roots[i])
-                    )
-                    if y in weights:
-                        continue
-                    d = self.dominant_conjugate(y)
-                    ok = dom_ok.get(d)
-                    if ok is None:
-                        diff = tuple(a - b for a, b in zip(lam, d))
-                        ok = dom_ok[d] = self.in_root_lattice_cone(diff)
-                    if ok:
-                        weights.add(y)
-                        nxt.append(y)
+            for mu in frontier:
+                for alpha, h in zip(roots, heights):
+                    nu = tuple(m - a for m, a in zip(mu, alpha))
+                    if nu not in depth and min(nu) >= 0:
+                        depth[nu] = depth[mu] + h
+                        nxt.append(nu)
             frontier = nxt
+        dominant = sorted(depth, key=lambda mu: (depth[mu], mu))
 
-        dominant = [w for w in weights if all(c >= 0 for c in w)]
-        # Depth = height of lam - mu; Freudenthal consumes shallower levels first.
-        def depth(mu):
-            rc = self.root_coordinates(tuple(a - b for a, b in zip(lam, mu)))
-            return sum(rc)
+        # Orbits, one layer of reflections at positive coordinates at a time.
+        # A weight's layer is the length of the shortest Weyl element taking
+        # its representative to it, so layers are disjoint and deduplicating
+        # within a layer suffices.
+        simple = np.array(self.simple_roots, dtype=np.int64)
+        layer = np.array(dominant, dtype=np.int64)
+        owner = np.arange(len(dominant))
+        layers, owners = [layer], [owner]
+        while len(layer):
+            nxt, nxt_owner = [], []
+            for i in range(self.rank):
+                hit = layer[:, i] > 0
+                nxt.append(layer[hit] - layer[hit, i, None] * simple[i])
+                nxt_owner.append(owner[hit])
+            layer, first = np.unique(np.concatenate(nxt), axis=0, return_index=True)
+            owner = np.concatenate(nxt_owner)[first]
+            layers.append(layer)
+            owners.append(owner)
+        weights = np.concatenate(layers)
+        rep = np.concatenate(owners)
+        rep_of = dict(zip(map(tuple, weights.tolist()), rep.tolist()))
 
-        dominant.sort(key=lambda mu: (depth(mu), mu))
-        mult = {lam: 1}
-        lam_rho = tuple(l + 1 for l in lam)
-        top = self.ip(lam_rho, lam_rho)
-        for mu in dominant:
-            if mu == lam:
-                continue
-            total = Fraction(0)
-            for alpha in self.positive_roots:
-                j = 1
+        # Freudenthal, every inner product times the Gram denominator:
+        # mult(mu) (|lam + rho|^2 - |mu + rho|^2)
+        #     = 2 sum_{alpha > 0, j >= 1} mult(mu + j alpha) (mu + j alpha | alpha).
+        g = np.array(self._gram_num, dtype=np.int64)
+        g_roots = np.array(roots, dtype=np.int64) @ g
+        norms = (g_roots * roots).sum(axis=1).tolist()
+        shifted = layers[0] + 1
+        norms_rho = ((shifted @ g) * shifted).sum(axis=1)
+        gaps = (norms_rho[0] - norms_rho).tolist()
+        g_roots = g_roots.tolist()
+        mult = [1] + [0] * (len(dominant) - 1)
+        for k in range(1, len(dominant)):
+            mu = dominant[k]
+            total = 0
+            for alpha, ga, norm in zip(roots, g_roots, norms):
+                pairing = sum(m * x for m, x in zip(mu, ga))
+                nu = mu
                 while True:
-                    nu = tuple(m + j * a for m, a in zip(mu, alpha))
-                    if nu not in weights:
+                    nu = tuple(m + a for m, a in zip(nu, alpha))
+                    idx = rep_of.get(nu)
+                    if idx is None:
                         break
-                    total += mult[self.dominant_conjugate(nu)] * self.ip(nu, alpha)
-                    j += 1
-            mu_rho = tuple(m + 1 for m in mu)
-            denom = top - self.ip(mu_rho, mu_rho)
-            val = 2 * total / denom
-            if val.denominator != 1 or val <= 0:
-                raise AssertionError(f"bad multiplicity {val} at {mu}")
-            mult[mu] = int(val)
+                    pairing += norm
+                    total += mult[idx] * pairing
+            val, rem = divmod(2 * total, gaps[k])
+            if rem or val <= 0:
+                raise AssertionError(
+                    f"bad multiplicity {2 * total}/{gaps[k]} at {mu}"
+                )
+            mult[k] = val
 
-        table = {w: mult[self.dominant_conjugate(w)] for w in weights}
-        ws = WeightSystem(multiplicity=table)
+        mults = np.array(mult, dtype=np.int64)[rep]
+        if int(mults.sum()) != self.weyl_dimension(lam):
+            raise AssertionError(f"weight system of {lam} misses the Weyl dimension")
+        ws = WeightSystem(weights, mults)
         self._mult_cache[lam] = ws
         return ws
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSystem:
-    """Weights of one irreducible, with multiplicities."""
+    """Weights of one irreducible, with multiplicities.
 
-    multiplicity: dict
+    weights is a (d, rank) int64 array and mults the (d,) int64 array of
+    their multiplicities, row for row; both are made read-only.
+    """
+
+    weights: np.ndarray
+    mults: np.ndarray
+
+    def __post_init__(self):
+        self.weights.flags.writeable = False
+        self.mults.flags.writeable = False
+
+    @property
+    def multiplicity(self):
+        """Read-only {weight tuple: multiplicity} view, built on each access."""
+        return MappingProxyType(
+            dict(zip(map(tuple, self.weights.tolist()), self.mults.tolist()))
+        )
 
     @property
     def dim(self):
-        return sum(self.multiplicity.values())
+        return int(self.mults.sum())
 
     def items(self):
         return self.multiplicity.items()

@@ -389,9 +389,8 @@ def _basis_product(ctx, la, mu):
             small, big = fa, fb
         else:
             small, big = fb, fa
-        weights = rs.weight_multiplicities(small).multiplicity
-        shifted = np.array(list(weights), dtype=np.int64) + np.array(big)
-        acc = reduced_terms(ctx, shifted, list(weights.values()))
+        ws = rs.weight_multiplicities(small)
+        acc = reduced_terms(ctx, ws.weights + np.array(big), ws.mults)
         result = {w: c for w, c in sorted(acc.items()) if c}
         for c in result.values():
             if c < 0:

@@ -10,6 +10,7 @@ pass/fail item.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,18 +35,19 @@ class KRDataUnavailableError(ValueError):
     """No closed-form classical decomposition is wired for this vertex."""
 
 
-def _compositions(total, parts):
-    """All tuples of `parts` non-negative integers summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _stars_and_bars(total, parts):
+    """(N, parts) int64 array of every way to write total as a sum of parts
+    >= 1 non-negative integers: the parts are the gaps between parts - 1
+    bars placed among total + parts - 1 slots."""
+    width = parts - 1
+    slots = total + width
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), width)),
+        dtype=np.int64,
+    ).reshape(math.comb(slots, width), width)
+    n = len(bars)
+    edges = np.hstack((np.full((n, 1), -1), bars, np.full((n, 1), slots)))
+    return np.diff(edges, axis=1) - 1
 
 
 def supported_vertices(rs):
@@ -59,66 +61,45 @@ def supported_vertices(rs):
 def kr_classical_components(rs, a, m):
     """Finite highest weights in the classical restriction of one KR module.
 
-    The supported decompositions are multiplicity-free, so the result is a
-    tuple of distinct dominant weights.  For the exceptional algebras only
-    the minuscule vertices carry closed-form data (single component, and
-    conjectural there); other vertices raise KRDataUnavailableError.
+    The supported decompositions are multiplicity-free, so the result is an
+    (N, rank) int64 array of distinct dominant weights, rows in descending
+    lexicographic order.  For the exceptional algebras only the minuscule
+    vertices carry closed-form data (single component, and conjectural
+    there); other vertices raise KRDataUnavailableError.
     """
     fam, r = rs.type.family, rs.rank
     if not 1 <= a <= r:
         raise ValueError(f"vertex {a} out of range for {rs.type}")
     if m < 0:
         raise ValueError(f"KR index must be non-negative, got {m}")
-    zero = (0,) * r
-
-    def single():
-        w = [0] * r
-        w[a - 1] = m
-        return (tuple(w),)
-
+    out = np.zeros((1, r), dtype=np.int64)
     if m == 0:
-        return (zero,)
-    if fam == "A":
-        return single()
-
-    if fam in "BD":
-        if fam == "D" and a >= r - 1:
-            return single()
-        ta = rs.t[a - 1]
+        return out
+    if fam in "BD" and not (fam == "D" and a >= r - 1):
+        # k_a = m - t_a * total, with total spread over the vertices below a
+        # of the same parity; even vertices carry a trivial summand slot.
         lower = list(range(a - 2, 0, -2))
-        # Even vertices carry a trivial summand slot; odd ones do not.
         slots = len(lower) + (1 if a % 2 == 0 else 0)
-        out = []
-        for total in range(m // ta + 1):
-            ka = m - ta * total
-            for combo in _compositions(total, slots):
-                w = [0] * r
-                w[a - 1] = ka
-                for j, c in zip(lower, combo):
-                    w[j - 1] = c
-                out.append(tuple(w))
-        return tuple(sorted(out, reverse=True))
-
-    if fam == "C":
-        if a == r:
-            return single()
+        step, scale = rs.t[a - 1], 1
+    elif fam == "C" and a < r:
         # k_a matches the parity of m; everything else is even.
-        out = []
-        for ka in range(m, -1, -2):
-            half = (m - ka) // 2
-            for combo in _compositions(half, a):
-                w = [0] * r
-                w[a - 1] = ka
-                for j, c in zip(range(a - 1, 0, -1), combo):
-                    w[j - 1] = 2 * c
-                out.append(tuple(w))
-        return tuple(sorted(out, reverse=True))
-
-    if a in rs.minuscule_vertices:
-        return single()
-    raise KRDataUnavailableError(
-        f"no classical KR decomposition available for {rs.type} vertex {a}"
-    )
+        lower = list(range(a - 1, 0, -1))
+        slots = a
+        step = scale = 2
+    elif fam in "ABCD" or a in rs.minuscule_vertices:
+        out[0, a - 1] = m
+        return out
+    else:
+        raise KRDataUnavailableError(
+            f"no classical KR decomposition available for {rs.type} vertex {a}"
+        )
+    # Every total up to m // step at once: the last part is the slack.
+    top = m // step
+    parts = _stars_and_bars(top, slots + 1)
+    out = np.zeros((len(parts), r), dtype=np.int64)
+    out[:, a - 1] = m - step * (top - parts[:, -1])
+    out[:, np.array(lower, dtype=np.int64) - 1] = scale * parts[:, : len(lower)]
+    return out[np.lexsort((-out).T[::-1])]
 
 
 def kr_element(ctx, a, m):

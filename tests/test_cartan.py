@@ -7,6 +7,7 @@ recomputed by hand from the normalization (theta | theta) = 2.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -217,6 +218,114 @@ def test_weight_system_dims_match_weyl(make_rs):
     rs = make_rs("C", 3)
     for lam in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 1)]:
         assert weight_multiplicities(rs, lam).dim == rs.weyl_dimension(lam)
+
+
+def _reference_weight_multiplicities(rs, lam):
+    """{weight: multiplicity} by single simple-root steps, each mapped to its
+    dominant conjugate one reflection at a time, and Freudenthal over
+    Fractions: the reference for the integer orbit path."""
+    lam = tuple(lam)
+    weights = {lam}
+    dom_ok = {lam: True}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for alpha in rs.simple_roots:
+                y = tuple(xj - aj for xj, aj in zip(x, alpha))
+                if y in weights:
+                    continue
+                d = rs.dominant_conjugate(y)
+                ok = dom_ok.get(d)
+                if ok is None:
+                    diff = tuple(a - b for a, b in zip(lam, d))
+                    ok = dom_ok[d] = rs.in_root_lattice_cone(diff)
+                if ok:
+                    weights.add(y)
+                    nxt.append(y)
+        frontier = nxt
+
+    def depth(mu):
+        return sum(rs.root_coordinates(tuple(a - b for a, b in zip(lam, mu))))
+
+    dominant = sorted(
+        (w for w in weights if all(c >= 0 for c in w)), key=lambda mu: (depth(mu), mu)
+    )
+    mult = {lam: 1}
+    lam_rho = tuple(l + 1 for l in lam)
+    top = rs.ip(lam_rho, lam_rho)
+    for mu in dominant[1:]:
+        total = Fraction(0)
+        for alpha in rs.positive_roots:
+            j = 1
+            while True:
+                nu = tuple(m + j * a for m, a in zip(mu, alpha))
+                if nu not in weights:
+                    break
+                total += mult[rs.dominant_conjugate(nu)] * rs.ip(nu, alpha)
+                j += 1
+        mu_rho = tuple(m + 1 for m in mu)
+        val = 2 * total / (top - rs.ip(mu_rho, mu_rho))
+        assert val.denominator == 1 and val > 0, (mu, val)
+        mult[mu] = int(val)
+    return {w: mult[rs.dominant_conjugate(w)] for w in weights}
+
+
+@pytest.mark.parametrize(
+    "family,rank,level",
+    [("A", 4, 4), ("B", 4, 4), ("C", 3, 4), ("D", 4, 3), ("F", 4, 3), ("G", 2, 5),
+     ("E", 7, 2), ("E", 8, 2)],
+)
+def test_weight_systems_match_reference(family, rank, level, make_ctx):
+    ctx = make_ctx(family, rank, level)
+    for la in ctx.basis:
+        lam = la[1:]
+        ws = ctx.rs.weight_multiplicities(lam)
+        expect = _reference_weight_multiplicities(ctx.rs, lam)
+        assert dict(ws.multiplicity) == expect, lam
+
+
+@pytest.mark.parametrize("family,rank,level", [("D", 6, 4), ("E", 6, 4)])
+def test_weight_system_invariants(family, rank, level, make_ctx):
+    """Every basis weight: dim is the Weyl dimension, the weights are distinct,
+    the table is invariant under each simple reflection, and the highest
+    weight has multiplicity 1."""
+    ctx = make_ctx(family, rank, level)
+    rs = ctx.rs
+    simple = np.array(rs.simple_roots, dtype=np.int64)
+
+    def sorted_rows(weights, mults):
+        order = np.lexsort(weights.T)
+        return weights[order], mults[order]
+
+    for la in ctx.basis:
+        lam = la[1:]
+        ws = rs.weight_multiplicities(lam)
+        assert ws.dim == rs.weyl_dimension(lam)
+        assert ws.weights.shape == (len(ws.mults), rs.rank)
+        assert ws.weights.dtype == ws.mults.dtype == np.int64
+        weights, mults = sorted_rows(ws.weights, ws.mults)
+        assert (np.diff(weights, axis=0) != 0).any(axis=1).all(), lam
+        for i in range(rs.rank):
+            reflected = ws.weights - ws.weights[:, i, None] * simple[i]
+            got_w, got_m = sorted_rows(reflected, ws.mults)
+            assert np.array_equal(got_w, weights), (lam, i)
+            assert np.array_equal(got_m, mults), (lam, i)
+        top = np.flatnonzero((ws.weights == lam).all(axis=1))
+        assert top.size == 1 and ws.mults[top[0]] == 1
+
+
+def test_weight_system_is_read_only(make_rs):
+    rs = make_rs("A", 2)
+    ws = rs.weight_multiplicities((1, 1))
+    assert rs.weight_multiplicities((1, 1)) is ws
+    with pytest.raises(ValueError):
+        ws.weights[0, 0] = 7
+    with pytest.raises(ValueError):
+        ws.mults[0] = 7
+    with pytest.raises(TypeError):
+        ws.multiplicity[(0, 0)] = 7
+    assert ws.multiplicity[(0, 0)] == 2
 
 
 OUTER = {

@@ -56,14 +56,15 @@ COMPONENTS = {
 def test_kr_components(key, make_rs):
     family, rank, a, m = key
     got = kr_classical_components(make_rs(family, rank), a, m)
-    assert sorted(got) == sorted(COMPONENTS[key])
+    assert sorted(map(tuple, got.tolist())) == sorted(COMPONENTS[key])
 
 
 def test_kr_components_m_zero(make_rs):
     for fam, r in [("A", 2), ("B", 3), ("C", 3), ("D", 4)]:
         rs = make_rs(fam, r)
         for a in range(1, r + 1):
-            assert kr_classical_components(rs, a, 0) == ((0,) * r,)
+            got = kr_classical_components(rs, a, 0)
+            assert tuple(map(tuple, got.tolist())) == ((0,) * r,)
 
 
 def test_kr_components_total_weight(make_rs):
@@ -73,7 +74,7 @@ def test_kr_components_total_weight(make_rs):
         for a in range(1, r + 1):
             for m in (1, 2, 3):
                 top = tuple(m * c for c in rs.fundamental_weight(a))
-                for w in kr_classical_components(rs, a, m):
+                for w in map(tuple, kr_classical_components(rs, a, m).tolist()):
                     diff = tuple(tc - wc for tc, wc in zip(top, w))
                     assert rs.in_root_lattice_cone(diff), (a, m, w)
 
@@ -95,6 +96,71 @@ def test_kr_components_unavailable(make_rs):
         kr_classical_components(make_rs("E", 6), 2, 1)
     with pytest.raises(KRDataUnavailableError):
         kr_classical_components(make_rs("F", 4), 1, 1)
+
+
+def _recursive_compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _recursive_components(rs, a, m):
+    """The B/C/D branches of kr_classical_components as tuples from a
+    recursive generator, kept as the row-order reference."""
+    fam, r = rs.type.family, rs.rank
+    if m == 0 or (fam == "D" and a >= r - 1) or (fam == "C" and a == r):
+        w = [0] * r
+        w[a - 1] = m
+        return (tuple(w),)
+    out = []
+    if fam in "BD":
+        lower = list(range(a - 2, 0, -2))
+        slots = len(lower) + (1 if a % 2 == 0 else 0)
+        for total in range(m // rs.t[a - 1] + 1):
+            for combo in _recursive_compositions(total, slots):
+                w = [0] * r
+                w[a - 1] = m - rs.t[a - 1] * total
+                for j, c in zip(lower, combo):
+                    w[j - 1] = c
+                out.append(tuple(w))
+    else:
+        for ka in range(m, -1, -2):
+            for combo in _recursive_compositions((m - ka) // 2, a):
+                w = [0] * r
+                w[a - 1] = ka
+                for j, c in zip(range(a - 1, 0, -1), combo):
+                    w[j - 1] = 2 * c
+                out.append(tuple(w))
+    return tuple(sorted(out, reverse=True))
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("B", r) for r in range(2, 7)]
+    + [("C", r) for r in range(2, 7)]
+    + [("D", r) for r in range(4, 8)],
+)
+def test_kr_component_order_matches_recursive_reference(family, rank, make_ctx):
+    """Row by row, order included: kr_element sums the rows in this order.
+    Every vertex, m up to two default horizons at level 2; C6 stops at one
+    (0.3M rows), because two would be 11.3M rows and about 40 s of the
+    recursive reference."""
+    ctx = make_ctx(family, rank, 2)
+    grid = WGrid(ctx)
+    periods = 1 if (family, rank) == ("C", 6) else 2
+    for a in grid.vertices:
+        for m in range(periods * grid.default_horizon(a) + 1):
+            got = kr_classical_components(ctx.rs, a, m)
+            assert got.dtype == np.int64
+            expect = _recursive_components(ctx.rs, a, m)
+            assert tuple(map(tuple, got.tolist())) == expect, (a, m)
 
 
 def test_supported_vertices(make_rs):
