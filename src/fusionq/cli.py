@@ -25,7 +25,7 @@ from .qsystem import (
     restricted_solution,
     unsupported_report,
 )
-from .smatrix import NumericDegradationError, OracleUnavailableError, build_smatrix
+from .smatrix import NumericDegradationError, build_smatrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,12 +104,9 @@ def cmd_verify(args):
         )
     else:
         reports.append(solution.report)
-        try:
-            sm = build_smatrix(ctx)
-            kns = kns_report(ctx, sm, grid=grid, solution=solution, tol=args.tol)
-            reports.append(kns.report)
-        except (KRDataUnavailableError, OracleUnavailableError) as e:
-            reports.append(unsupported_report(ctx, "kns", str(e)))
+        sm = build_smatrix(ctx)
+        kns = kns_report(ctx, sm, grid=grid, solution=solution, tol=args.tol)
+        reports.append(kns.report)
     ctx.save_cache()
     obj = [rep.to_obj() for rep in reports]
     _emit(json.dumps(obj, separators=(",", ":")) + "\n", args.out)
@@ -120,10 +117,7 @@ def cmd_verify(args):
 def cmd_smatrix(args):
     """Write the S-matrix as JSON or CSV and print the unitarity residual."""
     ctx = _context(args)
-    try:
-        sm = build_smatrix(ctx)
-    except OracleUnavailableError as e:
-        raise UsageError(str(e))
+    sm = build_smatrix(ctx)
     residual = sm.unitarity_residual()
     if args.format == "json":
         obj = {

@@ -1,16 +1,12 @@
 """Numeric modular data: S-matrix, Verlinde coefficients, quantum dimensions.
 
 This is the floating-point cross-check layer for the exact fusion engine.
-For the classical families A-D each S-matrix entry is a Weyl-denominator
-determinant in epsilon-coordinates (Kac-Peterson): an (r+1)-square
-determinant of exponentials for A, an r-square sine determinant for B and
-C, and half the sum of a cosine and a sine determinant for D.  Their phases
-are exact integers reduced mod the order of one root-of-unity table.  E, F
-and G use the defining Weyl-group sum, which enumerates the whole finite
-Weyl group; that is capped at rank 6 (51840 elements for E6), so E7 and E8
-have no oracle.  Both paths work in blocks sized from _BLOCK_BYTES.  The
-Weyl sum (weyl_group, smatrix_entry) is the reference the determinants are
-tested against.
+Every family takes one path.  The Weyl group is the union of cosets W_J u
+of a classical Levi subgroup W_J (all of W for A-D), and each coset gives a
+Weyl-denominator determinant of the Levi type in epsilon-coordinates
+(Kac-Peterson) times one exact phase for the part orthogonal to J.  Work
+goes in blocks sized from _BLOCK_BYTES.  The explicit Weyl-group sum
+(weyl_group, smatrix_entry) is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -20,15 +16,20 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cartan import build_root_system
 from .fusion import FusionElement, quantum_dimension
 
 _WEYL_RANK_CAP = 6
-# Working-set budget for one block of either S-matrix path.
+# Working-set budget for one block of cosets or of determinant rows.
 _BLOCK_BYTES = 1 << 25
-
-
-class OracleUnavailableError(ValueError):
-    """The Weyl-sum oracle is not built above the supported rank."""
+# Classical Levi: family, rank, parent vertices J (1-based) in the Levi's order.
+_LEVI = {
+    "E6": ("D", 5, (5, 4, 3, 2, 6)),
+    "E7": ("D", 6, (6, 5, 4, 3, 2, 7)),
+    "E8": ("D", 7, (1, 2, 3, 4, 5, 6, 8)),
+    "F4": ("B", 3, (1, 2, 3)),
+    "G2": ("A", 1, (1,)),
+}
 
 
 class NumericDegradationError(ArithmeticError):
@@ -46,7 +47,7 @@ def weyl_group(rs):
         return cached
     r = rs.rank
     if r > _WEYL_RANK_CAP:
-        raise OracleUnavailableError(
+        raise ValueError(
             f"Weyl group enumeration is capped at rank {_WEYL_RANK_CAP}; "
             f"{rs.type} has rank {r}"
         )
@@ -132,29 +133,59 @@ def _epsilon_map(rs):
     return E, c
 
 
-def _determinant_sum(rs, kappa, shifted):
-    """Weyl sums over all basis pairs as Weyl-denominator determinants.
+def _levi_cosets(rs):
+    """The classical Levi of rs, its vertices J (0-based), and signed
+    representatives u of the cosets W_J u that make up W: a breadth-first
+    search over the orbit of omega = sum of omega_i outside J, which W_J
+    fixes, reflecting at positive coordinates, with u -> u s_i per step."""
+    fam, rank, J = _LEVI.get(str(rs.type), (None, rs.rank, range(1, rs.rank + 1)))
+    levi = build_root_system(fam, rank) if fam else rs
+    J = [j - 1 for j in J]
+    if [[rs.cartan[i][j] for j in J] for i in J] != [list(r) for r in levi.cartan]:
+        raise AssertionError(f"{levi.type} is not the Levi of {rs.type} on {J}")
+    eye = np.eye(rs.rank, dtype=np.int64)
+    gens = eye - np.array(rs.simple_roots)[:, :, None] * eye[:, None, :]
+    omega = tuple(int(i not in J) for i in range(rs.rank))
+    seen, frontier, mats, signs = {omega}, [(omega, eye)], [eye], [1]
+    while frontier:
+        nxt = []
+        for p, u in frontier:
+            for i, g in enumerate(gens):
+                q = tuple((g @ p).tolist())
+                if p[i] > 0 and q not in seen:
+                    seen.add(q)
+                    nxt.append((q, u @ g))
+        mats += [u for _, u in nxt]
+        signs += [-signs[-1]] * len(nxt)
+        frontier = nxt
+    return levi, J, np.stack(mats), np.array(signs, dtype=np.int64)
 
-    x = E(la+rho) and y = E(mu+rho) are scaled by the common denominator of
-    E to integer vectors, so every phase c x_i y_j / kappa is an integer
-    over one modulus and is read from one table of roots of unity.
+
+def _determinant_sum(rs, kappa, rows, cols):
+    """Weyl sums of all pairs of integer label rows and columns as
+    Weyl-denominator determinants.
+
+    x = E(row) and y = E(col) are scaled by the common denominator of E to
+    integer vectors, so every phase c x_i y_j / kappa is an integer over one
+    modulus and is read from one table of roots of unity.
     """
     E, c = _epsilon_map(rs)
     den = math.lcm(*(x.denominator for row in E for x in row))
     eps = np.array([[int(x * den) for x in row] for row in E], dtype=np.int64)
-    X = shifted @ eps.T  # (n, m) integer epsilon-coordinates
-    n, m = X.shape
+    X = rows @ eps.T  # (N, m) integer epsilon-coordinates
+    Y = cols @ eps.T  # (n, m)
+    n, m = Y.shape
     # c is 1 or 1/2, so c x_i y_j / kappa = X_i Y_j / modulus.
     modulus = int(den * den * kappa / c)
     roots = np.exp(-2j * np.pi * np.arange(modulus) / modulus)
     fam = rs.type.family
-    total = np.empty((n, n), dtype=np.complex128)
-    # Per row of la: n int64 index matrices and one gathered complex stack
+    total = np.empty((len(X), n), dtype=np.complex128)
+    # Per row: n int64 index matrices and one gathered complex stack
     # (24 bytes per matrix entry), with headroom for numpy temporaries.
-    rows = max(1, _BLOCK_BYTES // (n * m * m * 40))
-    for lo in range(0, n, rows):
-        idx = X[lo : lo + rows, None, :, None] * X[None, :, None, :]
-        idx %= modulus  # (rows, n, m, m)
+    step = max(1, _BLOCK_BYTES // (n * m * m * 40))
+    for lo in range(0, len(X), step):
+        idx = X[lo : lo + step, None, :, None] * Y[None, :, None, :]
+        idx %= modulus  # (step, n, m, m)
         if fam == "A":
             block = np.linalg.det(roots[idx])
         else:
@@ -164,39 +195,31 @@ def _determinant_sum(rs, kappa, shifted):
                 # Even sign changes only: half the sine plus the cosine
                 # determinant, exp(-i t) + exp(i t) = 2 Re(exp(-i t)).
                 block = 0.5 * (block + 2.0**m * np.linalg.det(roots.real[idx]))
-        total[lo : lo + rows] = block
-    return total
-
-
-def _weyl_sum(rs, kappa, shifted):
-    """Weyl sums over all basis pairs from the explicit Weyl group."""
-    mats, signs = weyl_group(rs)
-    gram = np.array([[float(x) for x in row] for row in rs.gram])
-    n, r = shifted.shape
-    total = np.zeros((n, n), dtype=np.complex128)
-    right = gram @ shifted.T  # (r, n)
-    # Per Weyl element: the moved weights, the real phases, and two complex
-    # temporaries of the exponential.
-    chunk = max(1, _BLOCK_BYTES // (n * (8 * r + 40 * n)))
-    for start in range(0, len(signs), chunk):
-        wm = mats[start : start + chunk]
-        ws = signs[start : start + chunk]
-        moved = np.einsum("wij,nj->wni", wm, shifted)  # (chunk, n, r)
-        phases = np.einsum("wni,im->wnm", moved, right)  # (chunk, n, n)
-        total += np.einsum(
-            "w,wnm->nm", ws.astype(np.complex128), np.exp(-2j * np.pi * phases / kappa)
-        )
+        total[lo : lo + step] = block
     return total
 
 
 def build_smatrix(ctx):
-    """The S-matrix on all basis pairs of the context: Weyl-denominator
-    determinants for A-D, the explicit Weyl sum otherwise."""
+    """The S-matrix on all basis pairs.  For x = u(la+rho) and v in W_J,
+    (v x | y) = (v x_J | y_J) + x^T (G - G_J) y: a Levi determinant, a phase."""
     rs = ctx.rs
     kappa = ctx.level + rs.dual_coxeter
     shifted = np.array([w[1:] for w in ctx.basis], dtype=np.int64) + 1
-    weyl_sums = _determinant_sum if rs.type.family in "ABCD" else _weyl_sum
-    total = weyl_sums(rs, kappa, shifted)
+    levi, J, mats, signs = _levi_cosets(rs)
+    den = math.lcm(rs._gram_den, levi._gram_den)
+    orth = np.array(rs._gram_num) * (den // rs._gram_den)
+    orth[np.ix_(J, J)] -= np.array(levi._gram_num) * (den // levi._gram_den)
+    n, total = len(shifted), 0
+    # Per coset: n^2 determinants, integer phases and their exponentials.
+    step = max(1, _BLOCK_BYTES // (n * n * 64))
+    for lo in range(0, len(signs), step):
+        moved = np.einsum("uij,nj->uni", mats[lo : lo + step], shifted)
+        moved = moved.reshape(-1, rs.rank)
+        block = _determinant_sum(levi, kappa, moved[:, J], shifted[:, J])
+        phases = (moved @ orth @ shifted.T) % (den * kappa)
+        block *= np.exp(-2j * np.pi / (den * kappa) * phases)
+        block = block.reshape(-1, n, n)
+        total = total + np.tensordot(signs[lo : lo + step], block, 1)
     pref = (1j) ** (rs.num_positive_roots % 4) / math.sqrt(
         rs.coroot_lattice_index * kappa**rs.rank
     )

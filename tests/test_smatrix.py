@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from fusionq import (
     FusionContext,
-    OracleUnavailableError,
     alcove_reduce,
     build_root_system,
     build_smatrix,
@@ -26,7 +25,7 @@ from fusionq import (
     verlinde_matrix,
     weyl_group,
 )
-from fusionq.smatrix import _BLOCK_BYTES, _determinant_sum, _epsilon_map, _weyl_sum
+from fusionq.smatrix import _BLOCK_BYTES, _epsilon_map, _levi_cosets
 
 WEYL_ORDERS = {
     ("A", 2): 6,
@@ -53,10 +52,45 @@ def test_weyl_group_order(key, make_rs):
 
 
 def test_weyl_group_rank_cap(make_rs):
-    with pytest.raises(OracleUnavailableError):
-        weyl_group(make_rs("D", 7))
-    with pytest.raises(OracleUnavailableError):
-        weyl_group(make_rs("E", 7))
+    """Above rank 6 the reference refuses before allocating anything."""
+    for key in [("D", 7), ("E", 7), ("E", 8)]:
+        rs = make_rs(*key)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                weyl_group(rs)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+    assert len(weyl_group(make_rs("E", 6))[1]) == 51840
+
+
+# Coset count |W| / |W_J|, |W_J| and |W| for the classical Levi W_J of each type.
+LEVI_COSETS = {
+    ("E", 6): (27, 1920, 51840),
+    ("E", 7): (126, 23040, 2903040),
+    ("E", 8): (2160, 322560, 696729600),
+    ("F", 4): (24, 48, 1152),
+    ("G", 2): (6, 2, 12),
+    ("A", 3): (1, 24, 24),
+    ("C", 4): (1, 384, 384),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LEVI_COSETS))
+def test_levi_cosets(key, make_rs):
+    rs = make_rs(*key)
+    levi, J, mats, signs = _levi_cosets(rs)
+    count, levi_order, order = LEVI_COSETS[key]
+    assert len(mats) == len(signs) == count
+    assert count * levi_order == order
+    # The reference enumeration confirms the orders it can reach.
+    for sub, size in [(rs, order), (levi, levi_order)]:
+        if sub.rank <= 6:
+            assert len(weyl_group(sub)[1]) == size
+    assert levi.rank == len(J)
+    assert [round(np.linalg.det(u)) for u in mats] == signs.tolist()
+    assert len({u.tobytes() for u in mats}) == count
 
 
 def test_weyl_matrices_are_orthogonal_for_form(make_rs):
@@ -75,25 +109,29 @@ CLASSICAL = [("A", r) for r in range(1, 6)] + [
 ] + [("D", r) for r in range(4, 7)]
 
 
-def _both_sums(ctx):
-    """The determinant and Weyl-group sums over all basis pairs, scaled
-    by the modulus of the S-matrix prefactor."""
-    rs = ctx.rs
-    kappa = ctx.level + rs.dual_coxeter
-    shifted = np.array([w[1:] for w in ctx.basis], dtype=np.int64) + 1
-    scale = 1 / math.sqrt(rs.coroot_lattice_index * kappa**rs.rank)
+def _both_sums(ctx, sample=None):
+    """S-matrix entries and their smatrix_entry references, on every basis
+    pair or on a seeded sample of that many pairs."""
+    sm = build_smatrix(ctx)
+    n = len(ctx.basis)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    if sample is not None:
+        pairs = random.Random(11).sample(pairs, sample)
+    basis = ctx.basis
     return (
-        scale * _determinant_sum(rs, kappa, shifted),
-        scale * _weyl_sum(rs, kappa, shifted),
+        np.array([sm.matrix[i, j] for i, j in pairs]),
+        np.array([smatrix_entry(ctx, basis[i][1:], basis[j][1:]) for i, j in pairs]),
     )
 
 
 @pytest.mark.parametrize(
     "family,rank,level",
-    [(f, r, k) for f, r in CLASSICAL for k in (1, 2, 3)] + [("A", 5, 5)],
+    [(f, r, k) for f, r in CLASSICAL for k in (1, 2, 3)]
+    + [("A", 5, 5), ("G", 2, 5), ("F", 4, 3), ("E", 6, 2), ("E", 6, 4)],
 )
 def test_determinant_matches_weyl_sum(family, rank, level, make_ctx):
-    det, ref = _both_sums(make_ctx(family, rank, level))
+    sample = 300 if (family, rank, level) in {("A", 5, 5), ("E", 6, 4)} else None
+    det, ref = _both_sums(make_ctx(family, rank, level), sample)
     assert np.max(np.abs(det - ref)) <= 1e-12
 
 
@@ -122,13 +160,13 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def test_smatrix_peak_memory(make_ctx, make_rs):
+def test_smatrix_peak_memory(make_ctx):
     """tracemalloc sees numpy buffers: the A5 k5 build stays far below the
-    (720, 252, 252) complex Weyl-sum intermediate, and the Weyl-sum path
-    stays within its block budget."""
+    (720, 252, 252) complex Weyl-sum intermediate, and the coset builds of
+    E6 and E8 (2160 cosets) stay within the block budget."""
     assert _peak_bytes(build_smatrix, make_ctx("A", 5, 5)) < 200 * 2**20
-    weyl_group(make_rs("E", 6))  # cached on the root system, outside the peak
-    assert _peak_bytes(build_smatrix, make_ctx("E", 6, 2)) < _BLOCK_BYTES + 2**20
+    for key in [("E", 6, 4), ("E", 8, 4)]:
+        assert _peak_bytes(build_smatrix, make_ctx(*key)) < _BLOCK_BYTES + 2**20
 
 
 @pytest.mark.parametrize(
@@ -149,10 +187,18 @@ def test_classical_smatrix_above_rank_6(family, rank, make_ctx):
             assert verlinde_coefficient(sm, la, mu, nu) == prod.coeff(nu)
 
 
-def test_no_oracle_for_e7_e8(make_ctx):
-    for rank in (7, 8):
-        with pytest.raises(OracleUnavailableError):
-            build_smatrix(make_ctx("E", rank, 2))
+@pytest.mark.parametrize("family,rank,level", [("E", 7, 2), ("E", 7, 3), ("E", 8, 2)])
+def test_e7_e8_smatrix_matches_exact_products(family, rank, level, make_sm):
+    """Above rank 6 the reference is Verlinde against the exact ring."""
+    sm = make_sm(family, rank, level)
+    assert sm.unitarity_residual() < 1e-12
+    assert sm.symmetry_residual() < 1e-12
+    ctx = sm.ctx
+    N, _ = verlinde_matrix(sm)
+    for i, la in enumerate(ctx.basis):
+        for j, mu in enumerate(ctx.basis):
+            prod = fusion_product(ctx, la, mu)
+            assert [prod.coeff(nu) for nu in ctx.basis] == N[i, j].tolist()
 
 
 @pytest.mark.parametrize("family,rank,level", [("G", 2, 3), ("F", 4, 2)])
