@@ -546,7 +546,16 @@ class RootSystem:
                 hit = layer[:, i] > 0
                 nxt.append(layer[hit] - layer[hit, i, None] * simple[i])
                 nxt_owner.append(owner[hit])
-            layer, first = np.unique(np.concatenate(nxt), axis=0, return_index=True)
+            cand = np.concatenate(nxt)
+            # Deduplicate on one int64 key per row: base-(2 off + 1) digits
+            # of row + off keep the lexicographic order of the rows.
+            off = int(np.abs(cand).max(initial=0))
+            base = 2 * off + 1
+            if base**self.rank >= 2**63:
+                raise ValueError(f"weights of {lam} are too large for int64 keys")
+            keys = (cand + off) @ base ** np.arange(self.rank - 1, -1, -1)
+            first = np.unique(keys, return_index=True)[1]
+            layer = cand[first]
             owner = np.concatenate(nxt_owner)[first]
             layers.append(layer)
             owners.append(owner)

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .cartan import DynkinType, build_root_system
-from .fusion import FusionContext, fusion_product
+from .fusion import FusionContext, basis_products, fusion_product
 from .qsystem import (
     KRDataUnavailableError,
     WGrid,
@@ -63,11 +63,13 @@ def _weight_label(w):
 def cmd_ring(args):
     """Write the basis listing and the full pairwise fusion-product table."""
     ctx = _context(args)
+    basis = ctx.basis
+    basis_products(ctx, [(u, v) for i, u in enumerate(basis) for v in basis[i:]])
+    elems = [ctx.basis_element(w) for w in basis]
     products = []
-    for i, u in enumerate(ctx.basis):
-        eu = ctx.basis_element(u)
-        for j, v in enumerate(ctx.basis):
-            prod = fusion_product(ctx, eu, ctx.basis_element(v))
+    for i, eu in enumerate(elems):
+        for j, ev in enumerate(elems):
+            prod = fusion_product(ctx, eu, ev)
             products.append(
                 {
                     "i": i,

@@ -17,6 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 _REDUCE_CAP = 10**6
+# Rows per alcove_reduce_many call in basis_products.
+_BATCH_ROWS = 2**16
 # Every int64 intermediate of alcove_reduce_many stays below this.
 _INT64_HEADROOM = 2**62
 _CACHE_DIM_RTOL = 1e-9
@@ -138,6 +140,16 @@ class FusionContext:
         self._products = {}
         self._cache_dir = cache_dir
         self._cache_dirty = False
+        # Finite labels of a basis weight lie in 0..level, so radix level + 1
+        # packs them into one int64 key that increases along the lex-sorted
+        # basis (any basis small enough to enumerate stays below 2**63).
+        self._radix_powers = (level + 1) ** np.arange(rs.rank - 1, -1, -1)
+        finite = np.array(self.basis, dtype=np.int64)[:, 1:]
+        self._basis_keys = finite @ self._radix_powers
+        # Basis indices in ascending order of the affine tuples.
+        self._affine_order = np.array(
+            sorted(range(len(self.basis)), key=self.basis.__getitem__)
+        )
         # Integer data of alcove_reduce_many.  weight_bound keeps every int64
         # intermediate below _INT64_HEADROOM: the level pairing, the coroot
         # coordinates (at most adj_sum times a coordinate) and the translation
@@ -230,18 +242,19 @@ class FusionContext:
         if not self._cache_dir or not self._cache_dirty:
             return
         os.makedirs(self._cache_dir, exist_ok=True)
-        payload = {
-            "products": {
-                ",".join(map(str, a)) + "|" + ",".join(map(str, b)): [
-                    [list(w), c] for w, c in terms.items()
-                ]
-                for (a, b), terms in sorted(self._products.items())
-            }
-        }
         fd, tmp = tempfile.mkstemp(dir=self._cache_dir, suffix=".tmp")
         try:
+            # The bytes of json.dump({"products": {key: terms}}), written one
+            # entry at a time through the C encoder.
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
+                fh.write('{"products": {')
+                sep = ""
+                for (a, b), terms in sorted(self._products.items()):
+                    key = ",".join(map(str, a)) + "|" + ",".join(map(str, b))
+                    pairs = [[list(w), c] for w, c in terms.items()]
+                    fh.write(sep + json.dumps(key) + ": " + json.dumps(pairs))
+                    sep = ", "
+                fh.write("}}")
             os.replace(tmp, self._cache_path())
         except OSError:
             try:
@@ -355,51 +368,98 @@ def alcove_reduce_many(ctx, weights):
     raise ReductionLimitError(f"no convergence after {_REDUCE_CAP} reflections")
 
 
-def reduced_terms(ctx, finite, mults=None):
-    """Terms dict of sum_i mults[i] * sign_i * V[reduced_i] over the alcove
-    reductions of the rows of an (N, rank) array of finite weights, each
-    affinized to the context's level (mults defaults to all 1)."""
+def _accumulate(ctx, table, owner, finite, mults=None):
+    """Add mults[i] * sign_i to table[owner[i], j] for every row i of an
+    (N, rank) array of finite weights, each affinized to the context's level,
+    whose alcove reduction is basis[j] (mults defaults to all 1)."""
     fin = np.asarray(finite, dtype=np.int64)
     weights = np.column_stack((ctx.level - fin @ ctx._comarks[1:], fin))
     signs, reduced = alcove_reduce_many(ctx, weights)
     if mults is not None:
         signs *= np.asarray(mults, dtype=np.int64)
-    acc = {}
-    for c, w in zip(signs.tolist(), reduced.tolist()):
-        if c:
-            w = tuple(w)
-            acc[w] = acc.get(w, 0) + c
-    return acc
+    live = np.flatnonzero(signs)
+    keys = reduced[live, 1:] @ ctx._radix_powers
+    idx = np.searchsorted(ctx._basis_keys, keys).clip(max=len(ctx.basis) - 1)
+    if (reduced[live] < 0).any() or (ctx._basis_keys[idx] != keys).any():
+        raise AssertionError("alcove reduction left the level-k basis")
+    np.add.at(table, (owner[live], idx), signs[live])
 
 
-def _basis_product(ctx, la, mu):
-    key = (la, mu) if la <= mu else (mu, la)
-    cached = ctx._products.get(key)
-    if cached is not None:
-        return cached
-    if la == ctx.unit_weight:
-        result = {mu: 1}
-    elif mu == ctx.unit_weight:
-        result = {la: 1}
-    else:
-        rs = ctx.rs
-        fa, fb = la[1:], mu[1:]
-        # Walk the weight system of the smaller factor.
-        if rs.weyl_dimension(fa) <= rs.weyl_dimension(fb):
-            small, big = fa, fb
+def reduced_terms(ctx, finite, mults=None):
+    """Terms dict of sum_i mults[i] * sign_i * V[reduced_i] over the alcove
+    reductions of the rows of an (N, rank) array of finite weights, each
+    affinized to the context's level (mults defaults to all 1)."""
+    fin = np.asarray(finite, dtype=np.int64)
+    table = np.zeros((1, len(ctx.basis)), dtype=np.int64)
+    _accumulate(ctx, table, np.zeros(len(fin), dtype=np.int64), fin, mults)
+    nz = np.flatnonzero(table[0])
+    return dict(zip([ctx.basis[j] for j in nz.tolist()], table[0, nz].tolist()))
+
+
+def basis_products(ctx, pairs):
+    """Compute every basis-pair product in pairs that is not in the product
+    table yet.
+
+    Pairs that share their smaller factor (by Weyl dimension) form one
+    group: the weights of the smaller factor, shifted by every partner, go
+    through alcove_reduce_many in chunks of at most _BATCH_ROWS rows, and
+    the signed multiplicities accumulate into one row per partner.  Each
+    product's terms are stored in ascending order.
+    """
+    rs = ctx.rs
+    products = ctx._products
+    groups = {}
+    for la, mu in pairs:
+        key = (la, mu) if la <= mu else (mu, la)
+        if key in products:
+            continue
+        la, mu = key
+        if la == ctx.unit_weight:
+            products[key] = {mu: 1}
+        elif mu == ctx.unit_weight:
+            products[key] = {la: 1}
         else:
-            small, big = fb, fa
+            fa, fb = la[1:], mu[1:]
+            if rs.weyl_dimension(fa) <= rs.weyl_dimension(fb):
+                groups.setdefault(fa, {})[key] = fb
+            else:
+                groups.setdefault(fb, {})[key] = fa
+        ctx._cache_dirty = True
+
+    for small, partners in groups.items():
         ws = rs.weight_multiplicities(small)
-        acc = reduced_terms(ctx, ws.weights + np.array(big), ws.mults)
-        result = {w: c for w, c in sorted(acc.items()) if c}
-        for c in result.values():
-            if c < 0:
+        big = np.array(list(partners.values()), dtype=np.int64)
+        table = np.zeros((len(big), len(ctx.basis)), dtype=np.int64)
+        # Each chunk is a block of partners times a block of weights.
+        span = min(len(ws.mults), _BATCH_ROWS)
+        step = _BATCH_ROWS // span
+        for p in range(0, len(big), step):
+            shifts = big[p : p + step, None, :]
+            for w in range(0, len(ws.mults), span):
+                weights = ws.weights[w : w + span]
+                _accumulate(
+                    ctx,
+                    table,
+                    np.repeat(np.arange(p, p + len(shifts)), len(weights)),
+                    (shifts + weights).reshape(-1, rs.rank),
+                    np.tile(ws.mults[w : w + span], len(shifts)),
+                )
+        # Terms in ascending order: columns in affine order, row-major nonzeros.
+        table = table[:, ctx._affine_order]
+        owner, col = np.nonzero(table)
+        coeffs = table[owner, col]
+        ends = np.cumsum(np.bincount(owner, minlength=len(big))).tolist()
+        labels = [ctx.basis[j] for j in ctx._affine_order[col].tolist()]
+        coeffs = coeffs.tolist()
+        start = 0
+        for (la, mu), end in zip(partners, ends):
+            result = dict(zip(labels[start:end], coeffs[start:end]))
+            if min(coeffs[start:end], default=0) < 0:
                 raise AssertionError(
                     f"negative structure constant in {la} * {mu}: {result}"
                 )
-    ctx._products[key] = result
-    ctx._cache_dirty = True
-    return result
+            products[(la, mu)] = result
+            start = end
 
 
 def fusion_product(ctx, u, v):
@@ -408,11 +468,17 @@ def fusion_product(ctx, u, v):
         u = ctx.basis_element(u)
     if not isinstance(v, FusionElement):
         v = ctx.basis_element(v)
+    keys = [(a, b) if a <= b else (b, a) for a in u.terms for b in v.terms]
+    found = [ctx._products.get(key) for key in keys]
+    if None in found:
+        basis_products(ctx, [key for key, f in zip(keys, found) if f is None])
+        found = [ctx._products[key] for key in keys]
     acc = {}
-    for wa, ca in u.terms.items():
-        for wb, cb in v.terms.items():
+    terms = iter(found)
+    for ca in u.terms.values():
+        for cb in v.terms.values():
             scale = ca * cb
-            for w, c in _basis_product(ctx, wa, wb).items():
+            for w, c in next(terms).items():
                 acc[w] = acc.get(w, 0) + scale * c
     return FusionElement(acc)
 

@@ -165,6 +165,7 @@ def test_smatrix_e7(capsys):
 # SHA-256 of stdout, recorded from the Weyl-sum S-matrix code.  verify
 # reports are pinned for every family; smatrix JSON only for A-D, whose
 # matrices are bit-identical, while E-G entries move in their last digits.
+# ring tables are pinned for every family, recorded from per-pair products.
 OUTPUT_DIGESTS = {
     ("verify", "A", 3, 3):
         "8e58e41ae75639f0a64744353dd76f590c9d5479d485df0a648aad82edbafc30",
@@ -188,6 +189,20 @@ OUTPUT_DIGESTS = {
         "81ee15eed769a9074b61ef2db8669339a961eb3f46a540cf08e077df61320e9e",
     ("smatrix", "D", 4, 2):
         "71a35bdf3f2dca91db6e74c4a9f1ee69fbf92c2b4ff70cd627c523b829afe51a",
+    ("ring", "A", 2, 3):
+        "22e9c818f62d1441f6d49e4d91af8e08780fded4b70240fca6fdfeb8e5ad75c7",
+    ("ring", "B", 3, 2):
+        "d4d22afbe5ade47b2ef3984b52a15da1deba3128a9112c06f2b3bc10581783e2",
+    ("ring", "C", 3, 2):
+        "882d10731f0709672e0373f986f506ebcf61e29c0bd2d7ef1af065de2d09b485",
+    ("ring", "D", 4, 2):
+        "46de44ee60c058eee220c449f193231647e71d26b3c879e5d8e948f17300ef95",
+    ("ring", "G", 2, 3):
+        "42882d3c2caa80283af83564abbbe2b958b1654bb87744e44f3ef90a21bee41e",
+    ("ring", "F", 4, 2):
+        "2897844abbb563796e5f48c1eae55ed06b67fd775ec55bc4dd48ac62248a53e8",
+    ("ring", "E", 6, 2):
+        "8c0a08a47d7caf5abc62db3a415f67e7f5d88864700468c133b643e1dd5d6c9d",
 }
 
 

@@ -1,7 +1,9 @@
 """Fusion ring construction: basis, alcove reduction, products."""
 
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,16 +275,113 @@ def test_kr_element_matches_scalar_reference(family, rank, level, make_ctx):
             assert kr_element(ctx, a, m) == expect, (a, m)
 
 
-@pytest.mark.parametrize("family,rank,level", [("A", 2, 3), ("B", 2, 2), ("G", 2, 2)])
-def test_basis_products_match_scalar_reference(family, rank, level, make_rs):
-    ctx = FusionContext(make_rs(family, rank), level)
-    rs = ctx.rs
-    for la in ctx.basis[1:]:
-        for mu in ctx.basis[1:]:
-            weights = rs.weight_multiplicities(la[1:]).multiplicity
-            shifted = [tuple(x + y for x, y in zip(mu[1:], nu)) for nu in weights]
-            expect = _scalar_terms(ctx, shifted, weights.values())
-            assert fusion_product(ctx, la, mu) == expect, (la, mu)
+def _scalar_product(ctx, la, mu):
+    weights = ctx.rs.weight_multiplicities(la[1:]).multiplicity
+    shifted = [tuple(x + y for x, y in zip(mu[1:], nu)) for nu in weights]
+    return _scalar_terms(ctx, shifted, weights.values())
+
+
+def _all_pairs(ctx):
+    return [(la, mu) for la in ctx.basis for mu in ctx.basis]
+
+
+@pytest.mark.parametrize(
+    "family,rank,level",
+    [
+        ("A", 2, 3),
+        ("B", 2, 2),
+        ("G", 2, 2),
+        ("A", 3, 3),
+        ("C", 3, 2),
+        ("D", 4, 2),
+        ("E", 6, 2),
+    ],
+)
+def test_basis_products_match_scalar_reference(
+    family, rank, level, make_rs, monkeypatch
+):
+    """Every basis pair at once (one batch per smaller factor) and one pair
+    at a time agree with scalar reduction; terms are stored in ascending
+    order, and once every pair is known no product reduces anything."""
+    batched = FusionContext(make_rs(family, rank), level)
+    single = FusionContext(make_rs(family, rank), level)
+    fusion.basis_products(batched, _all_pairs(batched))
+    assert len(batched._products) == len(batched.basis) * (len(batched.basis) + 1) // 2
+    for terms in batched._products.values():
+        assert list(terms) == sorted(terms)
+    for la, mu in _all_pairs(batched):
+        expect = _scalar_product(batched, la, mu)
+        assert fusion_product(single, la, mu) == expect, (la, mu)
+    monkeypatch.setattr(fusion, "alcove_reduce_many", None)
+    for la, mu in _all_pairs(batched):
+        assert fusion_product(batched, la, mu) == fusion_product(single, la, mu)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 20])
+@pytest.mark.parametrize("family,rank,level", [("A", 2, 3), ("B", 2, 2)])
+def test_basis_products_in_small_chunks(
+    family, rank, level, rows, make_rs, monkeypatch
+):
+    """A row budget of a few rows splits every group into many chunks, some
+    cutting through one partner's weights, without changing any product."""
+    full = FusionContext(make_rs(family, rank), level)
+    fusion.basis_products(full, _all_pairs(full))
+    monkeypatch.setattr(fusion, "_BATCH_ROWS", rows)
+    chunked = FusionContext(make_rs(family, rank), level)
+    fusion.basis_products(chunked, _all_pairs(chunked))
+    assert chunked._products == full._products
+    for key, terms in full._products.items():
+        assert list(chunked._products[key]) == list(terms)
+
+
+def test_product_of_sums_is_sum_of_basis_products(make_rs):
+    ctx = FusionContext(make_rs("A", 2), 3)
+    ref = FusionContext(make_rs("A", 2), 3)
+    b = ctx.basis
+    u = ctx.element({b[1]: 2, b[4]: -1, b[7]: 3})
+    v = ctx.element({b[1]: 1, b[2]: 5, b[0]: -2, b[9]: 1})
+    expect = ref.zero()
+    for wa, ca in u.terms.items():
+        for wb, cb in v.terms.items():
+            expect = expect + (ca * cb) * fusion_product(ref, wa, wb)
+    assert fusion_product(ctx, u, v) == expect
+    assert fusion_product(ctx, v, u) == expect
+
+
+def test_negative_structure_constant_is_an_error(make_rs, monkeypatch):
+    reduce = fusion.alcove_reduce_many
+
+    def flip_first(ctx, weights):
+        signs, reduced = reduce(ctx, weights)
+        signs[np.flatnonzero(signs)[0]] *= -1
+        return signs, reduced
+
+    monkeypatch.setattr(fusion, "alcove_reduce_many", flip_first)
+    ctx = FusionContext(make_rs("A", 1), 2)
+    with pytest.raises(AssertionError, match="negative structure constant"):
+        fusion_product(ctx, (1, 1), (1, 1))
+
+
+def test_basis_products_peak_memory_follows_the_row_budget(make_rs, monkeypatch):
+    """One group of 26,691 rows under a 4,096-row budget: the tracemalloc
+    peak stays below eight int64 copies of the budget's rows plus 1 MiB,
+    where reducing the group in one call would take about 7.7 MB."""
+    rs = make_rs("A", 4)
+    ctx = FusionContext(rs, 5)
+    small = affinize(ctx, (0, 0, 5, 0))
+    dim = rs.weyl_dimension(small[1:])
+    pairs = [(small, mu) for mu in ctx.basis[1:] if rs.weyl_dimension(mu[1:]) >= dim]
+    rows = len(rs.weight_multiplicities(small[1:]).mults) * len(pairs)
+    monkeypatch.setattr(fusion, "_BATCH_ROWS", 4096)
+    assert rows > 6 * fusion._BATCH_ROWS
+    tracemalloc.start()
+    try:
+        fusion.basis_products(ctx, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ctx._products) == len(pairs)
+    assert peak < fusion._BATCH_ROWS * 8 * 8 * (rs.rank + 1) + 2**20
 
 
 _A2K3 = None
@@ -496,6 +595,24 @@ def test_product_cache_round_trip(tmp_path, make_rs):
     assert files, "cache file should be written"
     second = FusionContext(rs, 2, cache_dir=str(tmp_path))
     assert fusion_product(second, x, x) == expect
+
+
+def test_save_cache_writes_the_bytes_of_json_dump(tmp_path, make_rs):
+    ctx = FusionContext(make_rs("A", 2), 3, cache_dir=str(tmp_path))
+    fusion.basis_products(ctx, _all_pairs(ctx))
+    ctx.save_cache()
+    payload = {
+        "products": {
+            ",".join(map(str, a)) + "|" + ",".join(map(str, b)): [
+                [list(w), c] for w, c in terms.items()
+            ]
+            for (a, b), terms in sorted(ctx._products.items())
+        }
+    }
+    expect = io.StringIO()
+    json.dump(payload, expect)
+    (path,) = tmp_path.iterdir()
+    assert path.read_text() == expect.getvalue()
 
 
 def _tamper_entry(raw, edit):
