@@ -547,14 +547,14 @@ class RootSystem:
                 nxt.append(layer[hit] - layer[hit, i, None] * simple[i])
                 nxt_owner.append(owner[hit])
             cand = np.concatenate(nxt)
-            # Deduplicate on one int64 key per row: base-(2 off + 1) digits
-            # of row + off keep the lexicographic order of the rows.
-            off = int(np.abs(cand).max(initial=0))
-            base = 2 * off + 1
-            if base**self.rank >= 2**63:
-                raise ValueError(f"weights of {lam} are too large for int64 keys")
-            keys = (cand + off) @ base ** np.arange(self.rank - 1, -1, -1)
-            first = np.unique(keys, return_index=True)[1]
+            # First occurrence of each distinct row, in lexicographic order:
+            # a stable lexsort, then the rows that differ from their
+            # predecessor.
+            order = np.lexsort(cand.T[::-1])
+            rows = cand[order]
+            fresh = np.ones(len(rows), dtype=bool)
+            fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            first = order[fresh]
             layer = cand[first]
             owner = np.concatenate(nxt_owner)[first]
             layers.append(layer)

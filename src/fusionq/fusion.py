@@ -122,6 +122,25 @@ def enumerate_basis(rs, level):
     return tuple(out)
 
 
+def _rank_offsets(comarks, level):
+    """Table whose entry (i, rem, x) counts the basis weights, in the order
+    of enumerate_basis, that agree with a weight before its label i and have
+    a smaller label i, when that weight's label i is x and rem is the level
+    minus the comark sum of its earlier labels.  Summing one entry per label
+    gives a basis weight's index, exactly, at any rank and level."""
+    r = len(comarks) - 1
+    offsets = np.zeros((r, level + 1, level + 2), dtype=np.int64)
+    # Number of ways to finish a weight after label i with rem left.
+    count = np.ones(level + 1, dtype=np.int64)
+    for i in range(r - 1, -1, -1):
+        for rem in range(level + 1):
+            ways = np.cumsum(count[rem :: -comarks[i + 1]])
+            offsets[i, rem, 1 : len(ways) + 1] = ways
+        rems = np.arange(level + 1)
+        count = offsets[i, rems, rems // comarks[i + 1] + 1]
+    return offsets
+
+
 class FusionContext:
     """A fusion ring at fixed level.
 
@@ -140,12 +159,7 @@ class FusionContext:
         self._products = {}
         self._cache_dir = cache_dir
         self._cache_dirty = False
-        # Finite labels of a basis weight lie in 0..level, so radix level + 1
-        # packs them into one int64 key that increases along the lex-sorted
-        # basis (any basis small enough to enumerate stays below 2**63).
-        self._radix_powers = (level + 1) ** np.arange(rs.rank - 1, -1, -1)
-        finite = np.array(self.basis, dtype=np.int64)[:, 1:]
-        self._basis_keys = finite @ self._radix_powers
+        self._rank_offsets = _rank_offsets(rs.comarks, level)
         # Basis indices in ascending order of the affine tuples.
         self._affine_order = np.array(
             sorted(range(len(self.basis)), key=self.basis.__getitem__)
@@ -378,10 +392,14 @@ def _accumulate(ctx, table, owner, finite, mults=None):
     if mults is not None:
         signs *= np.asarray(mults, dtype=np.int64)
     live = np.flatnonzero(signs)
-    keys = reduced[live, 1:] @ ctx._radix_powers
-    idx = np.searchsorted(ctx._basis_keys, keys).clip(max=len(ctx.basis) - 1)
-    if (reduced[live] < 0).any() or (ctx._basis_keys[idx] != keys).any():
+    # The basis weights are the nonnegative rows of the context's level; the
+    # level left before each finite label then indexes the rank table.
+    rows = reduced[live]
+    spent = rows[:, 1:] * ctx._comarks[1:]
+    left = ctx.level - np.cumsum(spent, axis=1) + spent
+    if (rows < 0).any() or (left[:, -1] - spent[:, -1] != rows[:, 0]).any():
         raise AssertionError("alcove reduction left the level-k basis")
+    idx = ctx._rank_offsets[np.arange(ctx.rs.rank), left, rows[:, 1:]].sum(axis=1)
     np.add.at(table, (owner[live], idx), signs[live])
 
 
@@ -469,10 +487,8 @@ def fusion_product(ctx, u, v):
     if not isinstance(v, FusionElement):
         v = ctx.basis_element(v)
     keys = [(a, b) if a <= b else (b, a) for a in u.terms for b in v.terms]
-    found = [ctx._products.get(key) for key in keys]
-    if None in found:
-        basis_products(ctx, [key for key, f in zip(keys, found) if f is None])
-        found = [ctx._products[key] for key in keys]
+    basis_products(ctx, keys)
+    found = [ctx._products[key] for key in keys]
     acc = {}
     terms = iter(found)
     for ca in u.terms.values():

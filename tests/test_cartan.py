@@ -207,6 +207,24 @@ def test_weight_multiplicities_adjoint(make_rs):
             assert ws.multiplicity[alpha] == 1
 
 
+def test_weight_systems_at_high_rank(make_rs):
+    """Orbit rows are deduplicated without a bound on rank or label size:
+    the A40 vector representation and the A28 adjoint, whose packed
+    base-(2 max|label| + 1) keys would pass 2**63."""
+    rs = make_rs("A", 40)
+    ws = weight_multiplicities(rs, (1,) + (0,) * 39)
+    assert ws.dim == len(ws.mults) == 41
+    assert len(set(map(tuple, ws.weights.tolist()))) == 41
+    rs = make_rs("A", 28)
+    adjoint = (1,) + (0,) * 26 + (1,)
+    ws = weight_multiplicities(rs, adjoint)
+    assert ws.dim == 840
+    assert ws.multiplicity[(0,) * 28] == 28
+    roots = list(rs.positive_roots)
+    roots += [tuple(-a for a in alpha) for alpha in roots]
+    assert sorted(ws.multiplicity) == sorted(roots + [(0,) * 28])
+
+
 def test_weight_multiplicities_spinor(make_rs):
     # B3 spinor: 8 extreme weights, all multiplicity one
     ws = weight_multiplicities(make_rs("B", 3), (0, 0, 1))

@@ -317,6 +317,39 @@ def test_basis_products_match_scalar_reference(
         assert fusion_product(batched, la, mu) == fusion_product(single, la, mu)
 
 
+@pytest.mark.parametrize(
+    "family,rank,level",
+    [
+        ("A", 2, 3),
+        ("B", 3, 3),
+        ("C", 3, 2),
+        ("G", 2, 3),
+        ("F", 4, 2),
+        ("E", 8, 3),
+        ("A", 33, 3),
+    ],
+)
+def test_reduced_rows_find_their_basis_index(family, rank, level, make_ctx):
+    """Every basis weight, reduced and indexed, lands on its own column,
+    also at A33 k3 where radix-(k + 1) keys of the labels pass 2**64."""
+    ctx = make_ctx(family, rank, level)
+    finite = np.array(ctx.basis, dtype=np.int64)[:, 1:]
+    tags = np.arange(1, len(finite) + 1)
+    terms = fusion.reduced_terms(ctx, finite, tags)
+    assert terms == dict(zip(ctx.basis, tags.tolist()))
+
+
+def test_products_at_high_rank_match_scalar_reference(make_ctx):
+    """A33 k3: 2 omega_1 and the unit would share a wrapped radix-4 key."""
+    ctx = make_ctx("A", 33, 3)
+    w1 = affinize(ctx, (1,) + (0,) * 32)
+    w2 = affinize(ctx, (2,) + (0,) * 32)
+    expect = ctx.element({w2: 1, affinize(ctx, (0, 1) + (0,) * 31): 1})
+    assert _scalar_product(ctx, w1, w1) == expect
+    assert fusion_product(ctx, w1, w1) == expect
+    assert fusion_product(ctx, w1, w2) == _scalar_product(ctx, w1, w2)
+
+
 @pytest.mark.parametrize("rows", [1, 3, 20])
 @pytest.mark.parametrize("family,rank,level", [("A", 2, 3), ("B", 2, 2)])
 def test_basis_products_in_small_chunks(
