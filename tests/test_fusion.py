@@ -395,6 +395,23 @@ def test_negative_structure_constant_is_an_error(make_rs, monkeypatch):
         fusion_product(ctx, (1, 1), (1, 1))
 
 
+@pytest.mark.parametrize("row", [(4, -1, 0), (3, 1, 0)])
+def test_reduced_row_off_the_basis_is_an_error(row, make_rs, monkeypatch):
+    """A reduced row with a negative label, or off the level, has no basis
+    index: the product raises instead of counting it elsewhere."""
+    reduce = fusion.alcove_reduce_many
+
+    def corrupt_first(ctx, weights):
+        signs, reduced = reduce(ctx, weights)
+        reduced[np.flatnonzero(signs)[0]] = row
+        return signs, reduced
+
+    monkeypatch.setattr(fusion, "alcove_reduce_many", corrupt_first)
+    ctx = FusionContext(make_rs("A", 2), 3)
+    with pytest.raises(AssertionError, match="left the level-k basis"):
+        fusion_product(ctx, (2, 1, 0), (2, 0, 1))
+
+
 def test_basis_products_peak_memory_follows_the_row_budget(make_rs, monkeypatch):
     """One group of 26,691 rows under a 4,096-row budget: the tracemalloc
     peak stays below eight int64 copies of the budget's rows plus 1 MiB,
