@@ -84,43 +84,25 @@ def _diagram(family, rank):
 
 
 def _mat_inverse(rows):
-    """Invert a square matrix of Fractions by Gauss-Jordan elimination."""
+    """Invert a square matrix of Fractions by Gauss-Jordan elimination; also
+    return the determinant, the pivots' product negated once per row swap."""
     n = len(rows)
     aug = [
         [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
         for i, row in enumerate(rows)
     ]
+    det = Fraction(1)
     for col in range(n):
         piv = next(i for i in range(col, n) if aug[i][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
         scale = aug[col][col]
+        det *= scale if piv == col else -scale
         aug[col] = [x / scale for x in aug[col]]
         for i in range(n):
             if i != col and aug[i][col]:
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _mat_det(rows):
-    """Determinant over Fractions, fraction-free enough for rank <= 8."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
+    return [row[n:] for row in aug], det
 
 
 def _compose(p, q):
@@ -246,7 +228,8 @@ class RootSystem:
             tuple(self.cartan[i][j] for i in range(r)) for j in range(r)
         )
 
-        cinv = _mat_inverse([[Fraction(x) for x in row] for row in self.cartan])
+        cinv, det = _mat_inverse(self.cartan)
+        self.cartan_det = int(det)
         self._cartan_inv = tuple(tuple(row) for row in cinv)
         gram = [[cinv[m][l] / t[m] for m in range(r)] for l in range(r)]
         for l in range(r):
@@ -331,11 +314,9 @@ class RootSystem:
         self.coxeter = sum(self.marks)
         self.dual_coxeter = sum(self.comarks)
         self.rho = (1,) * r
-        det = _mat_det([[Fraction(x) for x in row] for row in self.cartan])
         prod_t = 1
         for ta in self.t:
             prod_t *= ta
-        self.cartan_det = int(det)
         # Index of the coroot lattice inside the weight lattice.
         self.coroot_lattice_index = abs(self.cartan_det) * prod_t
 
@@ -362,7 +343,7 @@ class RootSystem:
             [ti * x for x in root] for ti, root in zip(self.t, self.simple_roots)
         ]
         det = self.coroot_lattice_index
-        adj = [[x * det for x in row] for row in _mat_inverse(coroots)]
+        adj = [[x * det for x in row] for row in _mat_inverse(coroots)[0]]
         if any(x.denominator != 1 for row in adj for x in row):
             raise AssertionError("coroot matrix must have an integral adjugate")
         self.coroot_rows = tuple(tuple(row) for row in coroots)

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .cartan import DynkinType, build_root_system
-from .fusion import FusionContext, basis_products, fusion_product
+from .fusion import FusionContext, basis_products
 from .qsystem import (
     KRDataUnavailableError,
     WGrid,
@@ -63,22 +63,16 @@ def _weight_label(w):
 def cmd_ring(args):
     """Write the basis listing and the full pairwise fusion-product table."""
     ctx = _context(args)
-    basis = ctx.basis
-    basis_products(ctx, [(u, v) for i, u in enumerate(basis) for v in basis[i:]])
-    elems = [ctx.basis_element(w) for w in basis]
-    products = []
-    for i, eu in enumerate(elems):
-        for j, ev in enumerate(elems):
-            prod = fusion_product(ctx, eu, ev)
-            products.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "terms": [
-                        {"w": list(w), "c": c} for w, c in prod.terms.items()
-                    ],
-                }
-            )
+    n = len(ctx.basis)
+    found = basis_products(ctx, ((u, v) for u in ctx.basis for v in ctx.basis))
+    products = [
+        {
+            "i": k // n,
+            "j": k % n,
+            "terms": [{"w": list(w), "c": c} for w, c in terms.items()],
+        }
+        for k, terms in enumerate(found)
+    ]
     obj = {
         "family": ctx.rs.type.family,
         "rank": ctx.rs.rank,

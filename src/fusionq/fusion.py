@@ -220,55 +220,80 @@ class FusionContext:
         return os.path.join(self._cache_dir, name)
 
     def _load_cache(self):
-        """Load the product table unless any entry fails a check: basis
-        weights only, positive integer coefficients, and the quantum
-        dimension identity d(la) d(mu) = sum c_nu d(nu)."""
+        """Load the product table: four flat int lists, pairs (basis-index
+        pairs), sizes (terms per pair), terms (basis indices) and coeffs.
+        Any failed check rejects the whole file.  The checks: basis indices,
+        each pair once with its terms ascending, positive coefficients,
+        d(la) d(mu) = sum c_nu d(nu) on quantum dimensions, and reciprocity
+        N_{la mu}^nu = N_{la nubar}^{mubar} wherever the partner pair is in
+        the file (a verify run saves only some pairs)."""
+        n = len(self.basis)
+
+        def key(*idx):
+            # One int per unordered pair, with any further indices appended.
+            lo, hi = np.minimum(idx[0], idx[1]), np.maximum(idx[0], idx[1])
+            return np.ravel_multi_index((lo, hi) + idx[2:], (n,) * len(idx))
+
         try:
             with open(self._cache_path()) as fh:
                 raw = json.load(fh)
-            dim = dict(zip(self.basis, _quantum_dimensions(self, self.basis).tolist()))
-            loaded = {}
-            for key, pairs in raw["products"].items():
-                a, b = key.split("|")
-                wa = tuple(int(x) for x in a.split(","))
-                wb = tuple(int(x) for x in b.split(","))
-                if wa not in self.basis_index or wb not in self.basis_index:
-                    raise ValueError("stale basis")
-                terms = {}
-                rhs = 0.0
-                for wl, c in pairs:
-                    wt = tuple(int(x) for x in wl)
-                    if wt not in self.basis_index or type(c) is not int or c <= 0:
-                        raise ValueError("stale term")
-                    terms[wt] = c
-                    rhs += c * dim[wt]
-                lhs = dim[wa] * dim[wb]
-                if abs(lhs - rhs) > _CACHE_DIM_RTOL * lhs:
-                    raise ValueError("quantum dimensions disagree")
-                loaded[(wa, wb)] = terms
-        except (OSError, ValueError, KeyError, AttributeError, TypeError):
+            lists = [np.array(raw[k]) for k in ("pairs", "sizes", "terms", "coeffs")]
+            if any(a.dtype != np.int64 or a.ndim != 1 for a in lists):
+                raise ValueError("not flat int64 lists")
+            pairs, sizes, terms, coeffs = lists
+            idx = np.concatenate((pairs, terms))
+            if coeffs.min() <= 0 or not 0 <= idx.min() <= idx.max() < n:
+                raise ValueError("index or coefficient out of range")
+            pairs = pairs.reshape(-1, 2)
+            # Summed exactly first: np.repeat allocates what sizes claim.
+            lengths = len(sizes), sum(sizes.tolist()), len(coeffs)
+            if lengths != (len(pairs), len(terms), len(terms)):
+                raise ValueError("array lengths disagree")
+            owner = np.repeat(np.arange(len(pairs)), sizes)
+            pair_keys = np.sort(key(pairs[:, 0], pairs[:, 1]))
+            place = owner * n + np.argsort(self._affine_order)[terms]
+            if (np.diff(pair_keys) == 0).any() or (np.diff(place) <= 0).any():
+                raise ValueError("repeated pair or term")
+            dim = _quantum_dimensions(self, self.basis)
+            lhs = dim[pairs[:, 0]] * dim[pairs[:, 1]]
+            rhs = np.bincount(owner, coeffs * dim[terms], minlength=len(pairs))
+            if (np.abs(lhs - rhs) > _CACHE_DIM_RTOL * lhs).any():
+                raise ValueError("quantum dimensions disagree")
+            flip = np.array(self.basis)[:, np.argsort(self.rs.conj_perm)]
+            bar = np.array([self.basis_index[w] for w in map(tuple, flip.tolist())])
+            la, mu = pairs[owner].T
+            have, want = key(la, mu, terms), key(la, bar[terms], bar[mu])
+            order = np.argsort(have)
+            at = order[np.searchsorted(have[order], want).clip(max=len(have) - 1)]
+            wrong = (have[at] != want) | (coeffs[at] != coeffs)
+            partner = key(la, bar[terms])
+            near = np.searchsorted(pair_keys, partner).clip(max=len(pairs) - 1)
+            if (wrong & (pair_keys[near] == partner)).any():
+                raise ValueError("reciprocity fails")
+        except (OSError, ValueError, KeyError, TypeError):
             # Unreadable or mismatched cache: recompute from scratch.
             return
-        self._products.update(loaded)
+        labels = [self.basis[j] for j in terms.tolist()]
+        coeffs, ends = coeffs.tolist(), np.cumsum(sizes).tolist()
+        for (a, b), start, end in zip(pairs.tolist(), [0] + ends, ends):
+            found = dict(zip(labels[start:end], coeffs[start:end]))
+            self._products[self.basis[a], self.basis[b]] = found
 
     def save_cache(self):
-        """Persist the basis-pair product table, atomically."""
+        """Persist the product table by basis index, atomically."""
         if not self._cache_dir or not self._cache_dirty:
             return
+        table = {"pairs": [], "sizes": [], "terms": [], "coeffs": []}
+        for (a, b), terms in sorted(self._products.items()):
+            table["pairs"] += (self.basis_index[a], self.basis_index[b])
+            table["sizes"].append(len(terms))
+            table["terms"] += map(self.basis_index.__getitem__, terms)
+            table["coeffs"] += terms.values()
         os.makedirs(self._cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self._cache_dir, suffix=".tmp")
         try:
-            # The bytes of json.dump({"products": {key: terms}}), written one
-            # entry at a time through the C encoder.
             with os.fdopen(fd, "w") as fh:
-                fh.write('{"products": {')
-                sep = ""
-                for (a, b), terms in sorted(self._products.items()):
-                    key = ",".join(map(str, a)) + "|" + ",".join(map(str, b))
-                    pairs = [[list(w), c] for w, c in terms.items()]
-                    fh.write(sep + json.dumps(key) + ": " + json.dumps(pairs))
-                    sep = ", "
-                fh.write("}}")
+                fh.write(json.dumps(table))
             os.replace(tmp, self._cache_path())
         except OSError:
             try:
@@ -415,20 +440,20 @@ def reduced_terms(ctx, finite, mults=None):
 
 
 def basis_products(ctx, pairs):
-    """Compute every basis-pair product in pairs that is not in the product
-    table yet.
+    """Terms dicts of the basis-pair products in pairs, in request order.
 
-    Pairs that share their smaller factor (by Weyl dimension) form one
-    group: the weights of the smaller factor, shifted by every partner, go
-    through alcove_reduce_many in chunks of at most _BATCH_ROWS rows, and
-    the signed multiplicities accumulate into one row per partner.  Each
-    product's terms are stored in ascending order.
+    This is the only way into the product table.  Pairs not in it yet are
+    computed first: pairs that share their smaller factor (by Weyl
+    dimension) form one group, the weights of the smaller factor, shifted by
+    every partner, go through alcove_reduce_many in chunks of at most
+    _BATCH_ROWS rows, and the signed multiplicities accumulate into one row
+    per partner.  Each product's terms are stored in ascending order.
     """
     rs = ctx.rs
     products = ctx._products
+    keys = [(la, mu) if la <= mu else (mu, la) for la, mu in pairs]
     groups = {}
-    for la, mu in pairs:
-        key = (la, mu) if la <= mu else (mu, la)
+    for key in keys:
         if key in products:
             continue
         la, mu = key
@@ -478,6 +503,7 @@ def basis_products(ctx, pairs):
                 )
             products[(la, mu)] = result
             start = end
+    return [products[key] for key in keys]
 
 
 def fusion_product(ctx, u, v):
@@ -486,9 +512,7 @@ def fusion_product(ctx, u, v):
         u = ctx.basis_element(u)
     if not isinstance(v, FusionElement):
         v = ctx.basis_element(v)
-    keys = [(a, b) if a <= b else (b, a) for a in u.terms for b in v.terms]
-    basis_products(ctx, keys)
-    found = [ctx._products[key] for key in keys]
+    found = basis_products(ctx, [(a, b) for a in u.terms for b in v.terms])
     acc = {}
     terms = iter(found)
     for ca in u.terms.values():

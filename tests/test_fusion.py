@@ -1,8 +1,9 @@
 """Fusion ring construction: basis, alcove reduction, products."""
 
-import io
+import itertools
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -305,7 +306,14 @@ def test_basis_products_match_scalar_reference(
     order, and once every pair is known no product reduces anything."""
     batched = FusionContext(make_rs(family, rank), level)
     single = FusionContext(make_rs(family, rank), level)
-    fusion.basis_products(batched, _all_pairs(batched))
+    pairs = _all_pairs(batched)
+    unit = batched.unit_weight
+    # Every pair, then reversed and repeated pairs and unit pairs: the terms
+    # come back in request order.
+    asked = pairs + [(mu, la) for la, mu in pairs[::-1]] + pairs[:3] * 2
+    asked += [(unit, unit), (pairs[-1][0], unit)]
+    found = fusion.basis_products(batched, asked)
+    assert found == [batched._products[min(p), max(p)] for p in asked]
     assert len(batched._products) == len(batched.basis) * (len(batched.basis) + 1) // 2
     for terms in batched._products.values():
         assert list(terms) == sorted(terms)
@@ -636,50 +644,115 @@ def test_element_arithmetic():
 
 
 def test_product_cache_round_trip(tmp_path, make_rs):
+    """The reloaded table equals the saved one, terms in the same order, for
+    every basis pair and for one row of pairs (a verify run saves only some
+    pairs).  A check that wrongly rejected a valid file would otherwise only
+    show as products computed again."""
+    for (family, rank, level), row in itertools.product(
+        [("A", 2, 3), ("D", 5, 2), ("E", 6, 2)], [None, 1]
+    ):
+        rs = make_rs(family, rank)
+        cache_dir = str(tmp_path / f"{family}{rank}-k{level}-{row}")
+        first = FusionContext(rs, level, cache_dir=cache_dir)
+        pairs = _all_pairs(first)
+        if row is not None:
+            pairs = [(first.basis[row], mu) for mu in first.basis]
+        fusion.basis_products(first, pairs)
+        first.save_cache()
+        assert len(os.listdir(cache_dir)) == 1, "cache file should be written"
+        second = FusionContext(rs, level, cache_dir=cache_dir)
+        assert second._products == first._products
+        for key, terms in first._products.items():
+            assert list(second._products[key]) == list(terms)
+
+
+def test_product_cache_in_the_old_layout_is_rebuilt(tmp_path, make_rs):
+    """A file keyed by "la|mu" weight strings is ignored, then replaced by a
+    file in the basis-index layout when the products are saved."""
     rs = make_rs("A", 2)
-    first = FusionContext(rs, 2, cache_dir=str(tmp_path))
-    x = (0, 1, 1)
-    expect = fusion_product(first, x, x)
-    first.save_cache()
-    files = list(tmp_path.iterdir())
-    assert files, "cache file should be written"
-    second = FusionContext(rs, 2, cache_dir=str(tmp_path))
-    assert fusion_product(second, x, x) == expect
-
-
-def test_save_cache_writes_the_bytes_of_json_dump(tmp_path, make_rs):
-    ctx = FusionContext(make_rs("A", 2), 3, cache_dir=str(tmp_path))
+    probe = FusionContext(rs, 3, cache_dir=str(tmp_path))
+    fusion.basis_products(probe, _all_pairs(probe))
+    old = {
+        ",".join(map(str, a)) + "|" + ",".join(map(str, b)): [
+            [list(w), c] for w, c in terms.items()
+        ]
+        for (a, b), terms in sorted(probe._products.items())
+    }
+    with open(probe._cache_path(), "w") as fh:
+        json.dump({"products": old}, fh)
+    ctx = FusionContext(rs, 3, cache_dir=str(tmp_path))
+    assert not ctx._products
     fusion.basis_products(ctx, _all_pairs(ctx))
     ctx.save_cache()
-    payload = {
-        "products": {
-            ",".join(map(str, a)) + "|" + ",".join(map(str, b)): [
-                [list(w), c] for w, c in terms.items()
-            ]
-            for (a, b), terms in sorted(ctx._products.items())
-        }
-    }
-    expect = io.StringIO()
-    json.dump(payload, expect)
-    (path,) = tmp_path.iterdir()
-    assert path.read_text() == expect.getvalue()
+    with open(probe._cache_path()) as fh:
+        assert sorted(json.load(fh)) == ["coeffs", "pairs", "sizes", "terms"]
+    assert FusionContext(rs, 3, cache_dir=str(tmp_path))._products == probe._products
 
 
-def _tamper_entry(raw, edit):
-    """Apply edit to the term list of the product with the most terms."""
-    products = raw["products"]
-    key = max(products, key=lambda k: (len(products[k]), k))
-    edit(products[key])
-    return key
+def _on_terms(edit, pair=None):
+    """Corruption that applies edit(ctx, terms) to the [basis index, coeff]
+    list of the product of pair (by default the product with the most
+    terms) and returns the weights of that pair."""
+
+    def corrupt(ctx, raw):
+        sizes, pairs = raw["sizes"], raw["pairs"]
+        if pair is None:
+            k = sizes.index(max(sizes))
+        else:
+            want = tuple(ctx.basis_index[w] for w in pair)
+            k = list(zip(pairs[::2], pairs[1::2])).index(want)
+        start = sum(sizes[:k])
+        end = start + sizes[k]
+        terms = [list(t) for t in zip(raw["terms"][start:end], raw["coeffs"][start:end])]
+        edit(ctx, terms)
+        sizes[k] = len(terms)
+        raw["terms"][start:end] = [t for t, _ in terms]
+        raw["coeffs"][start:end] = [c for _, c in terms]
+        return ctx.basis[pairs[2 * k]], ctx.basis[pairs[2 * k + 1]]
+
+    return corrupt
+
+
+def _repeat_first_pair(ctx, raw):
+    size = raw["sizes"][0]
+    raw["pairs"] += raw["pairs"][:2]
+    raw["sizes"].append(size)
+    raw["terms"] += raw["terms"][:size]
+    raw["coeffs"] += raw["coeffs"][:size]
+    return tuple(ctx.basis[i] for i in raw["pairs"][:2])
+
+
+def _split_coefficient(ctx, terms):
+    """Write c V[w] with c > 1 as (c - 1) V[w] + V[w]: dimensions still agree."""
+    i = next(i for i, (_, c) in enumerate(terms) if c > 1)
+    terms[i][1] -= 1
+    terms.insert(i + 1, [terms[i][0], 1])
+
+
+def _insert_term(ctx, terms, w):
+    terms.append([ctx.basis_index[w], 1])
+    terms.sort(key=lambda t: ctx.basis[t[0]])
 
 
 CACHE_CORRUPTIONS = {
     "not-json": None,
-    "plus-5": lambda pairs: pairs[0].__setitem__(1, pairs[0][1] + 5),
-    "dropped-term": lambda pairs: pairs.pop(),
+    "plus-5": _on_terms(lambda ctx, terms: terms[0].__setitem__(1, terms[0][1] + 5)),
+    "dropped-term": _on_terms(lambda ctx, terms: terms.pop()),
     # The tampered entry is V[1,1,1]^2, which has no V[2,1,0] term.
-    "extra-term": lambda pairs: pairs.append([[2, 1, 0], 1]),
-    "negative": lambda pairs: pairs[0].__setitem__(1, -pairs[0][1]),
+    "extra-term": _on_terms(lambda ctx, terms: _insert_term(ctx, terms, (2, 1, 0))),
+    "negative": _on_terms(lambda ctx, terms: terms[0].__setitem__(1, -terms[0][1])),
+    "float-coeff": _on_terms(lambda ctx, terms: terms[0].__setitem__(1, 1.0)),
+    "index-minus-1": _on_terms(lambda ctx, terms: terms[0].__setitem__(0, -1)),
+    "index-n": _on_terms(lambda ctx, terms: terms[0].__setitem__(0, len(ctx.basis))),
+    "reversed-terms": _on_terms(lambda ctx, terms: terms.reverse()),
+    "split-coefficient": _on_terms(_split_coefficient),
+    "repeated-pair": _repeat_first_pair,
+    # V[0,0,3]^2 is V[0,3,0]; its conjugate V[0,0,3] has the same quantum
+    # dimension, so only reciprocity across entries rejects the swap.
+    "conjugate-swap": _on_terms(
+        lambda ctx, terms: terms.__setitem__(0, [ctx.basis_index[(0, 0, 3)], 1]),
+        ((0, 0, 3), (0, 0, 3)),
+    ),
 }
 
 
@@ -693,15 +766,14 @@ def test_product_cache_ignores_garbage(tmp_path, make_rs, corruption):
             fusion_product(probe, u, v)
     probe.save_cache()
     (path,) = tmp_path.iterdir()
-    edit = CACHE_CORRUPTIONS[corruption]
-    if edit is None:
+    corrupt = CACHE_CORRUPTIONS[corruption]
+    if corrupt is None:
         path.write_text("not json {")
         la = mu = probe.basis[1]
     else:
         raw = json.loads(path.read_text())
-        key = _tamper_entry(raw, edit)
+        la, mu = corrupt(probe, raw)
         path.write_text(json.dumps(raw))
-        la, mu = (tuple(int(x) for x in part.split(",")) for part in key.split("|"))
     ctx = FusionContext(rs, 3, cache_dir=str(tmp_path))
     assert not ctx._products
     assert fusion_product(ctx, la, mu) == fusion_product(FusionContext(rs, 3), la, mu)
