@@ -1,5 +1,6 @@
 """Kirillov-Reshetikhin elements and the Q-system checks built on them."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -577,3 +578,134 @@ def test_kns_b2(make_ctx, make_sm):
     for (a, m), fv in out.f.items():
         assert 0 < fv < 1
         assert abs((1 - fv) - out.x[(a, m)]) < 1e-9
+
+
+# -- pinned report bytes --------------------------------------------------------
+
+
+def _report(key, make_ctx, make_sm):
+    """The one report a REPORT_DIGESTS entry pins."""
+    name, args = key[0], key[1:]
+    if name == "conjecture":
+        family, rank, level, horizon = args
+        return check_conjecture(make_ctx(family, rank, level), horizon=horizon)
+    if name == "unrestricted":
+        family, rank, level, up_to = args
+        return check_unrestricted(make_ctx(family, rank, level), up_to=up_to)
+    if name == "zero-strings":
+        variant, m = args
+        ctx = make_ctx("C", 2, 2)
+        table = _qdim_table(
+            ctx, make_sm("C", 2, 2), WGrid(ctx), {1: 10, 2: 5}, ctx.unit_weight
+        )
+        if variant == "perturbed":
+            # (1, 5) breaks the string boundary-forced concludes at m = 2,
+            # (1, 9) the one extend-block concludes at m = 3.
+            table[(1, 5)] = table[(1, 9)] = 0.25
+        elif variant == "nan":
+            # A NaN on the m = 2 block boundary.
+            table[(1, 4)] = float("nan")
+        return zero_string_lemmas(ctx.rs, table, m)
+    # uniqueness on the A2 k3 dimension tables, one restricted entry moved
+    ctx = make_ctx("A", 2, 3)
+    sm = make_sm("A", 2, 3)
+    grid = WGrid(ctx)
+    sol = restricted_solution(ctx, grid=grid)
+    restricted = {
+        (a, m): generalized_qdim(sm, sol.get(a, m), ctx.unit_weight)
+        for a in (1, 2)
+        for m in range(4)
+    }
+    unrestricted = _qdim_table(ctx, sm, grid, {1: 3, 2: 3}, ctx.unit_weight)
+    restricted[args] += 0.5
+    return uniqueness_check(ctx.rs, 3, restricted, unrestricted)
+
+
+REPORT_DIGESTS = {
+    ("conjecture", "A", 2, 3, 0):
+        "2043b368cd1da6c599a5b4ac784d815075848d724b5c2b0352fb7960fb1ccda8",
+    ("conjecture", "A", 2, 3, 3):
+        "ca88130050b582c020ef48da3f8b5d1155803898757699d1a2d213723da76367",
+    ("conjecture", "A", 2, 3, 7):
+        "2d2d41a6ef00c49193bcdffad6667028551ccb0aa1dc3c6be99c6303fa8b3016",
+    ("conjecture", "B", 3, 2, 0):
+        "6b6444f24f8a23db866d963c7f4833c940e4b96bce8c010e494fa39ec6e023fa",
+    ("conjecture", "B", 3, 2, 3):
+        "a19f9293f62991f8718857e419f2336dfcc25869c28fa8ba3e4518ab013acea0",
+    ("conjecture", "B", 3, 2, 7):
+        "7c5781eb6fede523b64c6461af5b1d378cba07314bbff668b3bf03a239e35f95",
+    ("conjecture", "C", 2, 2, 0):
+        "e617101f1858263b3350a6154611f577d82aacdfea1918c04dd11cf254748aa2",
+    ("conjecture", "C", 2, 2, 3):
+        "af9a48da60d64e9aa38e4a609dac4d0300a2f6535c5c8335de77edd0b523436c",
+    ("conjecture", "C", 2, 2, 7):
+        "673722b07e25ce896b36420102b0adb229bc183b5550b694f17e4af46c843e16",
+    ("conjecture", "D", 4, 2, 0):
+        "268800f556ae7d86e9e64e2601cea7556c6e4a3fbdc0446294a53c930f4925f6",
+    ("conjecture", "D", 4, 2, 3):
+        "d1bf6ef08ed10992c18861551b898984e8157c3df69332f7dccda2738aca3023",
+    ("conjecture", "D", 4, 2, 7):
+        "0f625cf2fe51cf0026e8a6f3cce91de8666c97ddc4a0254de892169748a6a5f7",
+    ("conjecture", "E", 6, 2, 0):
+        "b2ba5d23450fade920c4a32e9229b10a0e3f55f9f31cde8a1f935adaac57c99c",
+    ("conjecture", "E", 6, 2, 3):
+        "54b6fc45ccea35ffaa79583b651c25d053fee4a384602b963602400397791724",
+    ("conjecture", "E", 6, 2, 7):
+        "84963ee65c5efa8ca34301825732640be5044cae331e6f14870bcd2e284984e5",
+    ("conjecture", "G", 2, 3, 0):
+        "32f697f2a883f415cd26dffd578068ced36e9bb64b70d06faabdb1aea4b18644",
+    ("conjecture", "G", 2, 3, 3):
+        "32f697f2a883f415cd26dffd578068ced36e9bb64b70d06faabdb1aea4b18644",
+    ("conjecture", "G", 2, 3, 7):
+        "32f697f2a883f415cd26dffd578068ced36e9bb64b70d06faabdb1aea4b18644",
+    ("unrestricted", "A", 2, 3, None):
+        "5790f86b8d029338495d23518c77766a7f328bdbdbbfc4c99678076b194322e8",
+    ("unrestricted", "B", 3, 2, None):
+        "2e54ae23990f8e0aaace097e174fc3b10fa7de9530aaf599367d6b85940f741e",
+    ("unrestricted", "C", 2, 2, None):
+        "85557e203604956daac9cd2a56ce59207d30d2c4fa6ef6c0b599a7369371d2c7",
+    ("unrestricted", "D", 4, 2, None):
+        "4af25f86e72e923cc7d021284d465a9bb65a6aabb6e5999175c275e82bcbba3d",
+    ("unrestricted", "E", 6, 2, None):
+        "f2ab4c06e636b96816b3442586a94100daf75a01b5a0673535df94022a2351b0",
+    ("unrestricted", "A", 2, 3, 3):
+        "79f4a81d7b749b3ff9f27afc91e1b2007cd44619e856245b547e69e55c9bd490",
+    ("zero-strings", "true", 0):
+        "31d6cd9ae530809fedc851906db136ad7d5c9440d5200f453b8ff52e8fa2a87e",
+    ("zero-strings", "true", 1):
+        "8ba63681b160fdbca6fc3f9e1d108e1dafcbb3968befe49394dc24a5e6bceb05",
+    ("zero-strings", "true", 2):
+        "282c714356c5b8faabd8f7d5e17014c1b2e89bf3e94bfabb197ccf8227407176",
+    ("zero-strings", "true", 3):
+        "d28347106d83722c38c95974afac8dc2c328a07604cb72e00e1c7c23dd2a13e2",
+    ("zero-strings", "perturbed", 0):
+        "31d6cd9ae530809fedc851906db136ad7d5c9440d5200f453b8ff52e8fa2a87e",
+    ("zero-strings", "perturbed", 1):
+        "8ba63681b160fdbca6fc3f9e1d108e1dafcbb3968befe49394dc24a5e6bceb05",
+    ("zero-strings", "perturbed", 2):
+        "06fac313776bfe8d5e06a387d9325d87565e0a5d48da4e8d1d252cd30687ea83",
+    ("zero-strings", "perturbed", 3):
+        "35be8f7b9d55afba9c370e6e7430e6deba311ef94a066148c421df579a551cb0",
+    ("zero-strings", "nan", 0):
+        "31d6cd9ae530809fedc851906db136ad7d5c9440d5200f453b8ff52e8fa2a87e",
+    ("zero-strings", "nan", 1):
+        "8ba63681b160fdbca6fc3f9e1d108e1dafcbb3968befe49394dc24a5e6bceb05",
+    ("zero-strings", "nan", 2):
+        "282c714356c5b8faabd8f7d5e17014c1b2e89bf3e94bfabb197ccf8227407176",
+    ("zero-strings", "nan", 3):
+        "d28347106d83722c38c95974afac8dc2c328a07604cb72e00e1c7c23dd2a13e2",
+    ("uniqueness", 1, 2):
+        "f971ccebba13e2dfe30642556d3c714b791e3c252084b39dd7f20b4f9d21ef64",
+    ("uniqueness", 2, 0):
+        "4dd22a37593bc1fb6cf670ad8d1db7e9deea3c08741f5ef91d75b9384fa10f32",
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(REPORT_DIGESTS), ids=lambda key: "-".join(map(str, key))
+)
+def test_report_digests(key, make_ctx, make_sm):
+    """Pin the bytes of the check reports `verify` does not print: SHA-256
+    of each report's compact JSON."""
+    text = json.dumps(_report(key, make_ctx, make_sm).to_obj(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[key]
