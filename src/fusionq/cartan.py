@@ -338,12 +338,13 @@ class RootSystem:
 
         # Dynkin labels of the simple coroots t_i alpha_i and the adjugate of
         # that matrix: translations by the coroot lattice are integer
-        # combinations of these rows.
+        # combinations of these rows.  (alpha_i^vee | omega_j) = delta_ij, so
+        # the Gram matrix is the inverse of the coroot rows.
         coroots = [
             [ti * x for x in root] for ti, root in zip(self.t, self.simple_roots)
         ]
         det = self.coroot_lattice_index
-        adj = [[x * det for x in row] for row in _mat_inverse(coroots)[0]]
+        adj = [[x * det for x in row] for row in self.gram]
         if any(x.denominator != 1 for row in adj for x in row):
             raise AssertionError("coroot matrix must have an integral adjugate")
         self.coroot_rows = tuple(tuple(row) for row in coroots)

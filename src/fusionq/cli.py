@@ -65,6 +65,7 @@ def cmd_ring(args):
     ctx = _context(args)
     n = len(ctx.basis)
     found = basis_products(ctx, ((u, v) for u in ctx.basis for v in ctx.basis))
+    ctx.save_cache()
     products = [
         {
             "i": k // n,
@@ -80,7 +81,6 @@ def cmd_ring(args):
         "basis": [list(w) for w in ctx.basis],
         "products": products,
     }
-    ctx.save_cache()
     _emit(json.dumps(obj, separators=(",", ":")) + "\n", args.out)
     return EXIT_OK
 

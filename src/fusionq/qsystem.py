@@ -182,20 +182,20 @@ class ConjectureReport:
             it["status"] != "fail" for it in self.items
         )
 
-    def add(self, id_, vertex, m, ok, detail=None):
-        item = {"id": id_, "vertex": vertex, "m": m, "status": "pass" if ok else "fail"}
+    def record(self, id_, vertex, m, status, detail=None):
+        """Append one item; a failed item is also a counterexample."""
+        item = {"id": id_, "vertex": vertex, "m": m, "status": status}
         if detail is not None:
             item["detail"] = detail
         self.items.append(item)
-        if not ok:
+        if status == "fail":
             self.counterexamples.append(dict(item))
-        return ok
+
+    def add(self, id_, vertex, m, ok, detail=None):
+        self.record(id_, vertex, m, "pass" if ok else "fail", detail)
 
     def skip(self, id_, vertex, m, detail=None):
-        item = {"id": id_, "vertex": vertex, "m": m, "status": "skipped"}
-        if detail is not None:
-            item["detail"] = detail
-        self.items.append(item)
+        self.record(id_, vertex, m, "skipped", detail)
 
     def to_obj(self):
         obj = {
@@ -211,21 +211,22 @@ class ConjectureReport:
         return obj
 
 
-def _new_report(ctx, check):
-    return ConjectureReport(
-        check=check,
-        family=ctx.rs.type.family,
-        rank=ctx.rs.rank,
-        level=ctx.level,
-    )
+def _new_report(rs, level, check):
+    return ConjectureReport(check, rs.type.family, rs.rank, level)
 
 
 def unsupported_report(ctx, check, note):
     """A report whose one item marks the whole check as unsupported."""
-    rep = _new_report(ctx, check)
-    rep.items.append({"id": "grid", "vertex": None, "m": None, "status": "unsupported"})
+    rep = _new_report(ctx.rs, ctx.level, check)
+    rep.record("grid", None, None, "unsupported")
     rep.notes.append(note)
     return rep
+
+
+def _neighbors(rs, a):
+    """(b, -C_ab) for every Dynkin neighbor b of vertex a."""
+    row = rs.cartan[a - 1]
+    return [(b, -row[b - 1]) for b in range(1, rs.rank + 1) if row[b - 1] < 0]
 
 
 def _sign_definite(elem):
@@ -263,7 +264,7 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
         )
     rs = ctx.rs
     k = ctx.level
-    rep = _new_report(ctx, "conjecture")
+    rep = _new_report(rs, k, "conjecture")
     if set(grid.vertices) != set(range(1, rs.rank + 1)):
         rep.notes.append(
             "exceptional KR data is conjectural and limited to minuscule vertices"
@@ -293,38 +294,29 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
             rep.add("iv", a, m, not grid.get(a, m))
         for n in range(1, M + 1):
             perm = _perm_power(tau, n)
-            sgn = sigma**n
-            for m in range(clamp(period - 1) + 1):
-                if horizon is not None and m + n * period > horizon:
-                    continue
-                lhs = grid.get(a, m + n * period)
-                rhs = sgn * apply_outer(ctx, perm, grid.get(a, m))
-                rep.add("v", a, m + n * period, lhs == rhs)
+            shift = n * period
+            for m in range(clamp(period - 1 + shift) - shift + 1):
+                lhs = grid.get(a, m + shift)
+                rhs = sigma**n * apply_outer(ctx, perm, grid.get(a, m))
+                rep.add("v", a, m + shift, lhs == rhs)
         full = M * period
         for m in range(clamp(full - 1) + 1):
             rep.add("sign", a, m, _sign_definite(grid.get(a, m)))
-        for m in range(clamp(full - 1) + 1):
-            if horizon is not None and m + full > horizon:
-                continue
+        for m in range(clamp(full - 1 + full) - full + 1):
             rep.add("period", a, m, grid.get(a, m + full) == grid.get(a, m))
     return rep
 
 
-def _qsystem_rhs(ctx, getter, a, m):
-    """Right-hand side of the Q-system relation at (a, m) over any getter."""
-    rs = ctx.rs
-    C = rs.cartan
+def _relation_holds(ctx, getter, a, m):
+    """Whether the Q-system relation holds at (a, m) over any getter."""
+    lhs = fusion_product(ctx, getter(a, m), getter(a, m))
     total = fusion_product(ctx, getter(a, m - 1), getter(a, m + 1))
     prod = ctx.unit()
-    for b in range(1, rs.rank + 1):
-        cab = C[a - 1][b - 1]
-        if b == a or cab >= 0:
-            continue
-        cba = C[b - 1][a - 1]
-        for j in range(-cab):
-            idx = (cba * m - j) // cab
-            prod = fusion_product(ctx, prod, getter(b, idx))
-    return total + prod
+    for b, n in _neighbors(ctx.rs, a):
+        cba = ctx.rs.cartan[b - 1][a - 1]
+        for j in range(n):
+            prod = fusion_product(ctx, prod, getter(b, (j - cba * m) // n))
+    return lhs == total + prod
 
 
 def check_unrestricted(ctx, grid=None, up_to=None):
@@ -336,22 +328,15 @@ def check_unrestricted(ctx, grid=None, up_to=None):
     if grid is None:
         grid = WGrid(ctx)
     rs = ctx.rs
-    rep = _new_report(ctx, "unrestricted")
+    rep = _new_report(rs, ctx.level, "unrestricted")
     supported = set(grid.vertices)
     for a in grid.vertices:
-        neighbors = [
-            b
-            for b in range(1, rs.rank + 1)
-            if b != a and rs.cartan[a - 1][b - 1] < 0
-        ]
         top = up_to if up_to is not None else grid.default_horizon(a) - 1
-        if any(b not in supported for b in neighbors):
+        if any(b not in supported for b, _ in _neighbors(rs, a)):
             rep.skip("relation", a, None, "neighbor vertex lacks KR data")
             continue
         for m in range(top + 1):
-            lhs = fusion_product(ctx, grid.get(a, m), grid.get(a, m))
-            rhs = _qsystem_rhs(ctx, grid.get, a, m)
-            rep.add("relation", a, m, lhs == rhs)
+            rep.add("relation", a, m, _relation_holds(ctx, grid.get, a, m))
     return rep
 
 
@@ -365,7 +350,7 @@ def boundary_check(ctx):
     """
     rs = ctx.rs
     k = ctx.level
-    rep = _new_report(ctx, "boundary")
+    rep = _new_report(rs, k, "boundary")
     currents = {}
     for a in range(1, rs.rank + 1):
         w = [0] * (rs.rank + 1)
@@ -374,11 +359,8 @@ def boundary_check(ctx):
     for a in range(1, rs.rank + 1):
         lhs = fusion_product(ctx, currents[a], currents[a])
         rhs = ctx.unit()
-        for b in range(1, rs.rank + 1):
-            cab = rs.cartan[a - 1][b - 1]
-            if b == a or cab >= 0:
-                continue
-            for _ in range(-cab):
+        for b, n in _neighbors(rs, a):
+            for _ in range(n):
                 rhs = fusion_product(ctx, rhs, currents[b])
         rep.add("ring", a, None, lhs == rhs)
 
@@ -422,7 +404,7 @@ def restricted_solution(ctx, grid=None):
     if grid is None:
         grid = WGrid(ctx)
     k = ctx.level
-    rep = _new_report(ctx, "restricted")
+    rep = _new_report(rs, k, "restricted")
     elems = {}
     for a in range(1, rs.rank + 1):
         ta = rs.t[a - 1]
@@ -440,16 +422,12 @@ def restricted_solution(ctx, grid=None):
         s = ta * k // 2
         tau = rs.tau_table[a]
         for m in range(ta * k + 1):
-            lhs = fusion_product(ctx, sol.get(a, m), sol.get(a, m))
-            rhs = _qsystem_rhs(ctx, sol.get, a, m)
-            rep.add("relation", a, m, lhs == rhs)
+            rep.add("relation", a, m, _relation_holds(ctx, sol.get, a, m))
         for m in range(ta * k + 1):
             rep.add("positivity", a, m, _is_positive(sol.get(a, m)))
-        glued = apply_outer(
-            ctx, tau, conjugate(ctx, grid.get(a, s - 1 if ta * k % 2 == 0 else s))
-        )
+        # The reflected half at s + 1 mirrors s - 1 (even seam) or s (odd).
         parity = "glue-even" if ta * k % 2 == 0 else "glue-odd"
-        rep.add(parity, a, s + 1, grid.get(a, s + 1) == glued)
+        rep.add(parity, a, s + 1, grid.get(a, s + 1) == sol.get(a, s + 1))
         if ta * k % 2 == 0:
             center = apply_outer(ctx, tau, conjugate(ctx, grid.get(a, s)))
             rep.add("overlap", a, s, center == grid.get(a, s))
@@ -481,89 +459,45 @@ def zero_string_lemmas(rs, table, m, tol=1e-9):
     """
     I = tuple(range(1, rs.rank + 1))
     t = {a: rs.t[a - 1] for a in I}
-    rep = ConjectureReport(
-        check="zero-strings", family=rs.type.family, rank=rs.rank, level=-1
-    )
+    rep = _new_report(rs, -1, "zero-strings")
 
-    def allz(pairs):
-        return all(_tzero(table[p], tol) for p in pairs)
+    def zeros(lo, lo_off, hi, hi_off):
+        """Is every (a, mm) with t_a lo + lo_off <= mm < t_a hi + hi_off zero?"""
+        return all(
+            _tzero(table[(a, mm)], tol)
+            for a in I
+            for mm in range(t[a] * lo + lo_off, t[a] * hi + hi_off)
+        )
+
+    def implies(id_, hyp, *span):
+        if hyp:
+            rep.add(id_, None, m, zeros(*span))
+        else:
+            rep.skip(id_, None, m, "hypothesis not satisfied")
 
     # Zeros just above a block boundary propagate to the block end.
-    hyp = all(_tzero(table[(a, t[a] * m + 1)], tol) for a in I)
-    if hyp:
-        rep.add(
-            "above-boundary",
-            None,
-            m,
-            allz([(a, mm) for a in I for mm in range(t[a] * m + 1, t[a] * (m + 1) + 1)]),
-        )
-    else:
-        rep.skip("above-boundary", None, m, "hypothesis not satisfied")
-
+    implies("above-boundary", zeros(m, 1, m, 2), m, 1, m + 1, 1)
     # Zeros on a block boundary propagate through the block interior.
-    hyp = all(_tzero(table[(a, t[a] * m)], tol) for a in I)
-    if hyp:
-        rep.add(
-            "on-boundary",
-            None,
-            m,
-            allz([(a, mm) for a in I for mm in range(t[a] * m + 1, t[a] * (m + 1))]),
-        )
-    else:
-        rep.skip("on-boundary", None, m, "hypothesis not satisfied")
-
+    implies("on-boundary", zeros(m, 0, m, 1), m, 1, m + 1, 0)
     # A nonzero approach to a boundary solving the boundary system forces
-    # a two-block string of zeros.
+    # a two-block string of zeros (a NaN entry does not break the equation).
     if m >= 1:
-        nz = all(not _tzero(table[(a, t[a] * m - 1)], tol) for a in I)
-        bdry = True
-        for a in I:
-            lhs = table[(a, t[a] * m)] ** 2
-            rhs = 1.0
-            for b in I:
-                cab = rs.cartan[a - 1][b - 1]
-                if b != a and cab < 0:
-                    rhs *= table[(b, t[b] * m)] ** (-cab)
-            if abs(lhs - rhs) > tol:
-                bdry = False
-        if nz and bdry:
-            rep.add(
-                "boundary-forced",
-                None,
-                m,
-                allz(
-                    [
-                        (a, mm)
-                        for a in I
-                        for mm in range(t[a] * m + 1, t[a] * (m + 2))
-                    ]
-                ),
+        nonzero = not any(_tzero(table[(a, t[a] * m - 1)], tol) for a in I)
+        boundary = not any(
+            abs(
+                table[(a, t[a] * m)] ** 2
+                - math.prod(table[(b, t[b] * m)] ** n for b, n in _neighbors(rs, a))
             )
-        else:
-            rep.skip("boundary-forced", None, m, "hypothesis not satisfied")
-
+            > tol
+            for a in I
+        )
+        implies("boundary-forced", nonzero and boundary, m, 1, m + 2, 0)
     # A full zero block followed by one more zero at some vertex extends
     # the string one block further.
-    hyp = all(
-        _tzero(table[(a, mm)], tol)
-        for a in I
-        for mm in range(t[a] * m, t[a] * (m + 1))
-    ) and any(_tzero(table[(b, t[b] * (m + 1))], tol) for b in I)
-    if hyp:
-        rep.add(
-            "extend-block",
-            None,
-            m,
-            allz(
-                [
-                    (a, mm)
-                    for a in I
-                    for mm in range(t[a] * (m + 1), t[a] * (m + 2))
-                ]
-            ),
-        )
-    else:
-        rep.skip("extend-block", None, m, "hypothesis not satisfied")
+    hyp = zeros(m, 0, m + 1, 0) and any(
+        _tzero(table[(b, t[b] * (m + 1))], tol) for b in I
+    )
+    implies("extend-block", hyp, m + 1, 0, m + 2, 0)
     return rep
 
 
@@ -574,9 +508,7 @@ def uniqueness_check(rs, level, restricted_table, unrestricted_table, tol=1e-9):
     index set, the second over at least the same range.
     """
     I = tuple(range(1, rs.rank + 1))
-    rep = ConjectureReport(
-        check="uniqueness", family=rs.type.family, rank=rs.rank, level=level
-    )
+    rep = _new_report(rs, level, "uniqueness")
     tops = {a: rs.t[a - 1] * level for a in I}
     nowhere_zero = all(
         not _tzero(restricted_table[(a, m)], tol)
@@ -629,17 +561,13 @@ def coupling_matrix(rs, level):
 
 
 def _principal_minors_positive(K):
-    """Exact positive-definiteness via leading principal minors."""
+    """Exact positive-definiteness via leading principal minors: without
+    pivoting, the k-th one is the product of the first k pivots."""
     n = len(K)
     m = [[Fraction(x) for x in row] for row in K]
-    # Fraction-free-ish Gaussian elimination tracking pivot products.
-    minor = Fraction(1)
     for col in range(n):
         piv = m[col][col]
-        minor *= piv
-        if minor <= 0:
-            return False
-        if piv == 0:
+        if piv <= 0:
             return False
         for i in range(col + 1, n):
             f = m[i][col] / piv
@@ -718,7 +646,7 @@ def kns_report(ctx, sm, grid=None, solution=None, tol=1e-9):
         grid = WGrid(ctx)
     if solution is None:
         solution = restricted_solution(ctx, grid=grid)
-    rep = _new_report(ctx, "kns")
+    rep = _new_report(rs, k, "kns")
     kappa = k + rs.dual_coxeter
     unit = ctx.basis_index[ctx.unit_weight]
 
@@ -759,7 +687,7 @@ def kns_report(ctx, sm, grid=None, solution=None, tol=1e-9):
             x[(a, m)] = D[m - 1] * D[m + 1] / D[m] ** 2
             f[(a, m)] = float(fvec[idx])
             rep.add("f-range", a, m, 0.0 < fvec[idx] < 1.0)
-            rep.add("f-matches-x", a, m, abs((1.0 - fvec[idx]) - x[(a, m)]) <= 1e-9)
+            rep.add("f-matches-x", a, m, abs((1.0 - fvec[idx]) - x[(a, m)]) <= tol)
 
     # Probe-weight identities, at every probe where the lower-half
     # dimensions stay away from zero.  Items carry the probe's basis

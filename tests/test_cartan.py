@@ -80,6 +80,9 @@ def test_coxeter_numbers(key, make_rs):
     assert rs.dual_coxeter == hv
     assert rs.num_positive_roots == npos
     assert rs.coroot_lattice_index == idx
+    # The adjugate of the simple-coroot rows is idx times their inverse.
+    rows, adj = np.array(rs.coroot_rows), np.array(rs.coroot_adjugate)
+    assert np.array_equal(rows @ adj, idx * np.eye(rs.rank, dtype=int))
     # h = 1 + sum of marks, h-dual = 1 + sum of comarks.
     assert sum(rs.marks) == h
     assert sum(rs.comarks) == hv

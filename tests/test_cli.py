@@ -102,6 +102,22 @@ def test_verify_kns_above_rank_6(capsys):
     assert "pass" in statuses and statuses <= {"pass", "skipped"}
 
 
+def test_verify_failure_exit_code(capsys):
+    """A failing item makes verify exit 1, and its counterexamples are
+    exactly its failed items."""
+    code, out, _ = run_cli(
+        capsys, "verify", "--family", "A", "--rank", "2", "--level", "3",
+        "--tol", "1e-300",
+    )
+    assert code == 1
+    failed = set()
+    for r in json.loads(out):
+        fails = [i for i in r["items"] if i["status"] == "fail"]
+        assert r["counterexamples"] == fails
+        failed.update(i["id"] for i in fails)
+    assert "f-matches-x" in failed
+
+
 def test_verify_deterministic(capsys):
     args = ("verify", "--family", "C", "--rank", "2", "--level", "2")
     code1, first, _ = run_cli(capsys, *args)

@@ -580,6 +580,17 @@ def test_kns_b2(make_ctx, make_sm):
         assert abs((1 - fv) - out.x[(a, m)]) < 1e-9
 
 
+def test_kns_f_matches_x_uses_tol(make_ctx, make_sm):
+    tol = 1e-300
+    out = kns_report(make_ctx("A", 2, 3), make_sm("A", 2, 3), tol=tol)
+    items = [i for i in out.report.items if i["id"] == "f-matches-x"]
+    assert len(items) == len(out.points) == 4
+    for item in items:
+        key = (item["vertex"], item["m"])
+        ok = abs((1 - out.f[key]) - out.x[key]) <= tol
+        assert item["status"] == ("pass" if ok else "fail"), item
+
+
 # -- pinned report bytes --------------------------------------------------------
 
 
