@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .cartan import DynkinType, build_root_system
 from .fusion import FusionContext, basis_products
@@ -61,27 +62,35 @@ def _weight_label(w):
 
 
 def cmd_ring(args):
-    """Write the basis listing and the full pairwise fusion-product table."""
+    """Write the basis listing and the full pairwise fusion-product table.
+
+    Every product is computed and the cache saved before the first byte is
+    written, so a failed run leaves no partial output file.  The report is
+    then streamed one product at a time: the same bytes as one compact
+    json.dumps of the whole object, without holding that object or its text.
+    """
     ctx = _context(args)
     n = len(ctx.basis)
     found = basis_products(ctx, ((u, v) for u in ctx.basis for v in ctx.basis))
     ctx.save_cache()
-    products = [
+    head = json.dumps(
         {
-            "i": k // n,
-            "j": k % n,
-            "terms": [{"w": list(w), "c": c} for w, c in terms.items()],
-        }
-        for k, terms in enumerate(found)
-    ]
-    obj = {
-        "family": ctx.rs.type.family,
-        "rank": ctx.rs.rank,
-        "level": ctx.level,
-        "basis": [list(w) for w in ctx.basis],
-        "products": products,
-    }
-    _emit(json.dumps(obj, separators=(",", ":")) + "\n", args.out)
+            "family": ctx.rs.type.family,
+            "rank": ctx.rs.rank,
+            "level": ctx.level,
+            "basis": [list(w) for w in ctx.basis],
+        },
+        separators=(",", ":"),
+    )
+    prefix = {w: '{"w":[%s],"c":' % ",".join(map(str, w)) for w in ctx.basis}
+    out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        fh.write(head[:-1] + ',"products":[')
+        for k, terms in enumerate(found):
+            body = ",".join([prefix[w] + str(c) + "}" for w, c in terms.items()])
+            sep = "," if k else ""
+            fh.write('%s{"i":%d,"j":%d,"terms":[%s]}' % (sep, k // n, k % n, body))
+        fh.write("]}\n")
     return EXIT_OK
 
 

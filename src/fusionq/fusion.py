@@ -443,17 +443,18 @@ def basis_products(ctx, pairs):
     """Terms dicts of the basis-pair products in pairs, in request order.
 
     This is the only way into the product table.  Pairs not in it yet are
-    computed first: pairs that share their smaller factor (by Weyl
-    dimension) form one group, the weights of the smaller factor, shifted by
-    every partner, go through alcove_reduce_many in chunks of at most
-    _BATCH_ROWS rows, and the signed multiplicities accumulate into one row
-    per partner.  Each product's terms are stored in ascending order.
+    computed first, each unordered pair once: pairs that share their
+    smaller factor (by Weyl dimension) form one group, the weights of the
+    smaller factor, shifted by every partner, go through alcove_reduce_many
+    in chunks of at most _BATCH_ROWS rows, and the signed multiplicities
+    accumulate into one row per partner.  Each product's terms are stored
+    in ascending order.
     """
     rs = ctx.rs
     products = ctx._products
     keys = [(la, mu) if la <= mu else (mu, la) for la, mu in pairs]
     groups = {}
-    for key in keys:
+    for key in dict.fromkeys(keys):
         if key in products:
             continue
         la, mu = key
@@ -570,41 +571,3 @@ def _quantum_dimensions(ctx, weights):
         return np.prod(np.sin(np.pi * (x @ pairing)), axis=-1)
 
     return sines(shifted) / sines(np.ones(rs.rank))
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def element_to_obj(ctx, u):
-    """JSON-ready dict for one element, terms in basis order."""
-    terms = []
-    for w in ctx.basis:
-        c = u.terms.get(w)
-        if c:
-            terms.append({"w": list(w), "c": c})
-    return {
-        "family": ctx.rs.type.family,
-        "rank": ctx.rs.rank,
-        "level": ctx.level,
-        "terms": terms,
-    }
-
-
-def element_from_obj(ctx, obj):
-    """Inverse of element_to_obj, validating against the context."""
-    if obj.get("family") != ctx.rs.type.family or obj.get("rank") != ctx.rs.rank:
-        raise ValueError("element belongs to a different algebra")
-    if obj.get("level") != ctx.level:
-        raise ValueError("element belongs to a different level")
-    terms = {}
-    for entry in obj["terms"]:
-        terms[tuple(entry["w"])] = entry["c"]
-    return ctx.element(terms)
-
-
-def element_to_json(ctx, u):
-    return json.dumps(element_to_obj(ctx, u))
-
-
-def element_from_json(ctx, text):
-    return element_from_obj(ctx, json.loads(text))

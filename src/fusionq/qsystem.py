@@ -253,8 +253,11 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
     positivity on [0, tk]; the centro-symmetry against the conjugate grid;
     the simple-current value at tk; the zero string on (tk, t*kappa); the
     twisted periodicity over n = 1..M; sign-definiteness and the full
-    period M*t*kappa over a two-period window.  A horizon (int) truncates
-    every m-loop for quick partial runs.
+    period M*t*kappa over a two-period window.  A horizon (int) clamps the
+    m-loops of items i, ii, iv, v, sign and period, and items i, iv, v,
+    sign and period then read no W_m with m above it.  Items ii and iii
+    still read W_{tk-m} and W_{tk}, so the KR elements up to tk are built
+    whatever the horizon.
     """
     if grid is None:
         grid = WGrid(ctx, vertices)

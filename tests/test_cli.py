@@ -4,10 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
+from fusionq import FusionContext, build_root_system
 from fusionq.cli import main
+from fusionq.fusion import basis_products
 
 
 def run_cli(capsys, *argv):
@@ -287,3 +290,75 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     code, second, _ = run_cli(capsys, *args)
     assert code == 0
     assert first == second
+
+
+def reference_ring(family, rank, level):
+    """The ring report as the dict-list writer built it: one dict per
+    product and per term, then one compact json.dumps of the whole object."""
+    ctx = FusionContext(build_root_system(family, rank), level)
+    n = len(ctx.basis)
+    found = basis_products(ctx, ((u, v) for u in ctx.basis for v in ctx.basis))
+    products = [
+        {
+            "i": k // n,
+            "j": k % n,
+            "terms": [{"w": list(w), "c": c} for w, c in terms.items()],
+        }
+        for k, terms in enumerate(found)
+    ]
+    obj = {
+        "family": ctx.rs.type.family,
+        "rank": ctx.rs.rank,
+        "level": ctx.level,
+        "basis": [list(w) for w in ctx.basis],
+        "products": products,
+    }
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "key",
+    [key for key in sorted(OUTPUT_DIGESTS) if key[0] == "ring"],
+    ids=lambda key: "{}-{}{}-k{}".format(*key),
+)
+def test_ring_matches_reference_writer(key, tmp_path, capsys):
+    """The streamed report has the reference writer's bytes, on stdout and
+    through --out."""
+    _, family, rank, level = key
+    expected = reference_ring(family, rank, level)
+    argv = ("ring", "--family", family, "--rank", str(rank), "--level", str(level))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    target = tmp_path / "ring.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == expected.encode()
+
+
+def test_ring_writer_memory(tmp_path, monkeypatch, capsys):
+    """Writing the A4 k4 report (688,497 bytes) allocates less than 4 MB
+    beyond what is live once every product is known and the cache is saved.
+    The streamed writer adds about 0.04 MB; building the report as dicts
+    and one json.dumps text first added about 11 MB."""
+    save_cache = FusionContext.save_cache
+    saved = []
+
+    def save_then_reset(self):
+        save_cache(self)
+        tracemalloc.reset_peak()
+        saved.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(FusionContext, "save_cache", save_then_reset)
+    target = tmp_path / "ring.json"
+    tracemalloc.start()
+    try:
+        code = main(["ring", "--family", "A", "--rank", "4", "--level", "4",
+                     "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0 and len(saved) == 1
+    assert target.stat().st_size == 688_497
+    assert peak - saved[0] < 4 << 20

@@ -23,8 +23,6 @@ from fusionq import (
     apply_outer,
     build_root_system,
     conjugate,
-    element_from_json,
-    element_to_json,
     enumerate_basis,
     fusion_product,
     kr_classical_components,
@@ -607,23 +605,6 @@ def test_vanishing_string_at_minuscule_vertices(family, rank, level, make_ctx):
             ctx, tuple((level + rs.dual_coxeter) * c for c in omega)
         )
         assert alcove_reduce(ctx, revived).sign != 0
-
-
-def test_element_json_round_trip(make_ctx):
-    ctx = make_ctx("B", 3, 2)
-    u = fusion_product(ctx, (0, 1, 0, 1), (0, 1, 0, 1))
-    text = element_to_json(ctx, u)
-    obj = json.loads(text)
-    assert obj["family"] == "B" and obj["rank"] == 3 and obj["level"] == 2
-    assert element_from_json(ctx, text) == u
-
-
-def test_element_json_rejects_mismatch(make_ctx):
-    ctx = make_ctx("B", 3, 2)
-    other = make_ctx("A", 3, 2)
-    text = element_to_json(ctx, ctx.unit())
-    with pytest.raises(ValueError):
-        element_from_json(other, text)
 
 
 def test_element_rejects_bad_terms(make_ctx):
