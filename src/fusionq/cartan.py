@@ -15,7 +15,6 @@ the affine vertex.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -631,16 +630,6 @@ def build_root_system(family, rank=None):
     if isinstance(family, DynkinType):
         return RootSystem(family)
     return RootSystem(DynkinType(str(family).upper(), int(rank)))
-
-
-def bilinear_form(rs, x, y):
-    """Invariant bilinear form on weight tuples of rs, exact."""
-    return rs.ip(x, y)
-
-
-def weight_multiplicities(rs, lam):
-    """Weight system of the rs-irreducible with highest weight lam."""
-    return rs.weight_multiplicities(lam)
 
 
 def verify_beta_chain(rs, a):

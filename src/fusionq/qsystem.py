@@ -150,17 +150,6 @@ class WGrid:
         return elem
 
 
-def generate_w_grid(ctx, vertices=None, horizon=None):
-    """Build a WGrid and fill it up to the horizon (default: one full
-    predicted period per vertex)."""
-    grid = WGrid(ctx, vertices)
-    for a in grid.vertices:
-        top = grid.default_horizon(a) if horizon is None else horizon
-        for m in range(top + 1):
-            grid.get(a, m)
-    return grid
-
-
 # -- reports ------------------------------------------------------------------
 
 
@@ -211,13 +200,13 @@ class ConjectureReport:
         return obj
 
 
-def _new_report(rs, level, check):
-    return ConjectureReport(check, rs.type.family, rs.rank, level)
+def _new_report(ctx, check):
+    return ConjectureReport(check, ctx.rs.type.family, ctx.rs.rank, ctx.level)
 
 
 def unsupported_report(ctx, check, note):
     """A report whose one item marks the whole check as unsupported."""
-    rep = _new_report(ctx.rs, ctx.level, check)
+    rep = _new_report(ctx, check)
     rep.record("grid", None, None, "unsupported")
     rep.notes.append(note)
     return rep
@@ -267,7 +256,7 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
         )
     rs = ctx.rs
     k = ctx.level
-    rep = _new_report(rs, k, "conjecture")
+    rep = _new_report(ctx, "conjecture")
     if set(grid.vertices) != set(range(1, rs.rank + 1)):
         rep.notes.append(
             "exceptional KR data is conjectural and limited to minuscule vertices"
@@ -331,7 +320,7 @@ def check_unrestricted(ctx, grid=None, up_to=None):
     if grid is None:
         grid = WGrid(ctx)
     rs = ctx.rs
-    rep = _new_report(rs, ctx.level, "unrestricted")
+    rep = _new_report(ctx, "unrestricted")
     supported = set(grid.vertices)
     for a in grid.vertices:
         top = up_to if up_to is not None else grid.default_horizon(a) - 1
@@ -353,7 +342,7 @@ def boundary_check(ctx):
     """
     rs = ctx.rs
     k = ctx.level
-    rep = _new_report(rs, k, "boundary")
+    rep = _new_report(ctx, "boundary")
     currents = {}
     for a in range(1, rs.rank + 1):
         w = [0] * (rs.rank + 1)
@@ -407,7 +396,7 @@ def restricted_solution(ctx, grid=None):
     if grid is None:
         grid = WGrid(ctx)
     k = ctx.level
-    rep = _new_report(rs, k, "restricted")
+    rep = _new_report(ctx, "restricted")
     elems = {}
     for a in range(1, rs.rank + 1):
         ta = rs.t[a - 1]
@@ -443,98 +432,6 @@ def admissibility_matrix(ctx, a, m, solution=None):
         solution = restricted_solution(ctx)
     R = solution.get(a, m)
     return ctx.coefficients([fusion_product(ctx, R, b) for b in ctx.basis])
-
-
-# -- zero strings and uniqueness over numeric tables --------------------------
-
-
-def _tzero(val, tol):
-    return abs(val) <= tol
-
-
-def zero_string_lemmas(rs, table, m, tol=1e-9):
-    """Check the four zero-propagation implications on a numeric solution.
-
-    table maps (a, mm) to complex values of a Q-system solution; m is the
-    block index.  Each item records whether the hypothesis held and, when
-    it did, whether the concluded string of zeros is present.  Items with
-    false hypotheses are reported as skipped.
-    """
-    I = tuple(range(1, rs.rank + 1))
-    t = {a: rs.t[a - 1] for a in I}
-    rep = _new_report(rs, -1, "zero-strings")
-
-    def zeros(lo, lo_off, hi, hi_off):
-        """Is every (a, mm) with t_a lo + lo_off <= mm < t_a hi + hi_off zero?"""
-        return all(
-            _tzero(table[(a, mm)], tol)
-            for a in I
-            for mm in range(t[a] * lo + lo_off, t[a] * hi + hi_off)
-        )
-
-    def implies(id_, hyp, *span):
-        if hyp:
-            rep.add(id_, None, m, zeros(*span))
-        else:
-            rep.skip(id_, None, m, "hypothesis not satisfied")
-
-    # Zeros just above a block boundary propagate to the block end.
-    implies("above-boundary", zeros(m, 1, m, 2), m, 1, m + 1, 1)
-    # Zeros on a block boundary propagate through the block interior.
-    implies("on-boundary", zeros(m, 0, m, 1), m, 1, m + 1, 0)
-    # A nonzero approach to a boundary solving the boundary system forces
-    # a two-block string of zeros (a NaN entry does not break the equation).
-    if m >= 1:
-        nonzero = not any(_tzero(table[(a, t[a] * m - 1)], tol) for a in I)
-        boundary = not any(
-            abs(
-                table[(a, t[a] * m)] ** 2
-                - math.prod(table[(b, t[b] * m)] ** n for b, n in _neighbors(rs, a))
-            )
-            > tol
-            for a in I
-        )
-        implies("boundary-forced", nonzero and boundary, m, 1, m + 2, 0)
-    # A full zero block followed by one more zero at some vertex extends
-    # the string one block further.
-    hyp = zeros(m, 0, m + 1, 0) and any(
-        _tzero(table[(b, t[b] * (m + 1))], tol) for b in I
-    )
-    implies("extend-block", hyp, m + 1, 0, m + 2, 0)
-    return rep
-
-
-def uniqueness_check(rs, level, restricted_table, unrestricted_table, tol=1e-9):
-    """Nowhere-zero truncated solutions agreeing at m <= 1 agree everywhere.
-
-    Both tables map (a, m) to complex values, the first over the truncated
-    index set, the second over at least the same range.
-    """
-    I = tuple(range(1, rs.rank + 1))
-    rep = _new_report(rs, level, "uniqueness")
-    tops = {a: rs.t[a - 1] * level for a in I}
-    nowhere_zero = all(
-        not _tzero(restricted_table[(a, m)], tol)
-        for a in I
-        for m in range(tops[a] + 1)
-    )
-    agree_low = all(
-        abs(restricted_table[(a, m)] - unrestricted_table[(a, m)]) <= tol
-        for a in I
-        for m in (0, 1)
-    )
-    if not (nowhere_zero and agree_low):
-        rep.skip("agree", None, None, "hypothesis not satisfied")
-        return rep
-    for a in I:
-        for m in range(tops[a] + 1):
-            rep.add(
-                "agree",
-                a,
-                m,
-                abs(restricted_table[(a, m)] - unrestricted_table[(a, m)]) <= tol,
-            )
-    return rep
 
 
 # -- quantum dimension tables and the damped product system -------------------
@@ -649,7 +546,7 @@ def kns_report(ctx, sm, grid=None, solution=None, tol=1e-9):
         grid = WGrid(ctx)
     if solution is None:
         solution = restricted_solution(ctx, grid=grid)
-    rep = _new_report(rs, k, "kns")
+    rep = _new_report(ctx, "kns")
     kappa = k + rs.dual_coxeter
     unit = ctx.basis_index[ctx.unit_weight]
 

@@ -14,15 +14,11 @@ from fusionq import (
     admissibility_matrix,
     apply_outer,
     boundary_check,
-    build_smatrix,
     check_conjecture,
     check_unrestricted,
     conjugate,
     coupling_matrix,
     element_quantum_dimension,
-    fusion_product,
-    generalized_qdim,
-    generate_w_grid,
     kns_report,
     kr_classical_components,
     kr_element,
@@ -31,8 +27,6 @@ from fusionq import (
     restricted_solution,
     solve_f_system,
     supported_vertices,
-    uniqueness_check,
-    zero_string_lemmas,
 )
 
 # -- component multisets ------------------------------------------------------
@@ -207,15 +201,6 @@ def test_wgrid_basics(make_ctx):
 def test_wgrid_rejects_unsupported(make_ctx):
     with pytest.raises(KRDataUnavailableError):
         WGrid(make_ctx("G", 2, 2), vertices=(1,))
-
-
-def test_generate_w_grid_matches_lazy(make_ctx):
-    ctx = make_ctx("B", 2, 2)
-    eager = generate_w_grid(ctx)
-    lazy = WGrid(ctx)
-    for a in (1, 2):
-        for m in range(lazy.default_horizon(a)):
-            assert eager.get(a, m) == lazy.get(a, m)
 
 
 def test_period_multiplier(make_rs):
@@ -421,68 +406,6 @@ def test_admissibility_pf_eigenvalue(make_ctx):
     assert abs(pf - qd) < 1e-8
 
 
-# -- numeric tables: zero strings and uniqueness ------------------------------
-
-
-def _qdim_table(ctx, sm, grid, ranges, mu):
-    return {
-        (a, m): generalized_qdim(sm, grid.get(a, m), mu)
-        for a, top in ranges.items()
-        for m in range(top + 1)
-    }
-
-
-def test_zero_string_lemmas_fire(make_ctx):
-    """All four implications trigger on the C2 level-2 dimension table."""
-    ctx = make_ctx("C", 2, 2)
-    sm = build_smatrix(ctx)
-    grid = WGrid(ctx)
-    table = _qdim_table(ctx, sm, grid, {1: 10, 2: 5}, ctx.unit_weight)
-    by_m = {}
-    for m, want in [(2, "above-boundary"), (3, "on-boundary"),
-                    (2, "boundary-forced"), (3, "extend-block")]:
-        rep = by_m.get(m)
-        if rep is None:
-            rep = by_m[m] = zero_string_lemmas(ctx.rs, table, m)
-        item = next(i for i in rep.items if i["id"] == want)
-        assert item["status"] == "pass", (m, want, item)
-
-
-def test_zero_string_lemmas_skip(make_ctx):
-    # at block 0 nothing vanishes, so every hypothesis fails
-    ctx = make_ctx("C", 2, 2)
-    sm = build_smatrix(ctx)
-    grid = WGrid(ctx)
-    table = _qdim_table(ctx, sm, grid, {1: 10, 2: 5}, ctx.unit_weight)
-    rep = zero_string_lemmas(ctx.rs, table, 0)
-    assert all(i["status"] == "skipped" for i in rep.items)
-    assert rep.ok
-
-
-def test_uniqueness_on_dimension_tables(make_ctx):
-    ctx = make_ctx("A", 2, 3)
-    sm = build_smatrix(ctx)
-    grid = WGrid(ctx)
-    sol = restricted_solution(ctx, grid=grid)
-    restricted = {
-        (a, m): generalized_qdim(sm, sol.get(a, m), ctx.unit_weight)
-        for a in (1, 2)
-        for m in range(4)
-    }
-    unrestricted = _qdim_table(ctx, sm, grid, {1: 3, 2: 3}, ctx.unit_weight)
-    rep = uniqueness_check(ctx.rs, 3, restricted, unrestricted)
-    assert rep.ok
-    assert all(i["status"] == "pass" for i in rep.items)
-    assert {i["id"] for i in rep.items} == {"agree"}
-
-
-def test_uniqueness_skips_on_zero(make_ctx):
-    ctx = make_ctx("A", 2, 3)
-    zero_table = {(a, m): 0.0 for a in (1, 2) for m in range(4)}
-    rep = uniqueness_check(ctx.rs, 3, zero_table, zero_table)
-    assert [i["status"] for i in rep.items] == ["skipped"]
-
-
 # -- quantum dimension couplings ----------------------------------------------
 
 
@@ -600,36 +523,8 @@ def _report(key, make_ctx, make_sm):
     if name == "conjecture":
         family, rank, level, horizon = args
         return check_conjecture(make_ctx(family, rank, level), horizon=horizon)
-    if name == "unrestricted":
-        family, rank, level, up_to = args
-        return check_unrestricted(make_ctx(family, rank, level), up_to=up_to)
-    if name == "zero-strings":
-        variant, m = args
-        ctx = make_ctx("C", 2, 2)
-        table = _qdim_table(
-            ctx, make_sm("C", 2, 2), WGrid(ctx), {1: 10, 2: 5}, ctx.unit_weight
-        )
-        if variant == "perturbed":
-            # (1, 5) breaks the string boundary-forced concludes at m = 2,
-            # (1, 9) the one extend-block concludes at m = 3.
-            table[(1, 5)] = table[(1, 9)] = 0.25
-        elif variant == "nan":
-            # A NaN on the m = 2 block boundary.
-            table[(1, 4)] = float("nan")
-        return zero_string_lemmas(ctx.rs, table, m)
-    # uniqueness on the A2 k3 dimension tables, one restricted entry moved
-    ctx = make_ctx("A", 2, 3)
-    sm = make_sm("A", 2, 3)
-    grid = WGrid(ctx)
-    sol = restricted_solution(ctx, grid=grid)
-    restricted = {
-        (a, m): generalized_qdim(sm, sol.get(a, m), ctx.unit_weight)
-        for a in (1, 2)
-        for m in range(4)
-    }
-    unrestricted = _qdim_table(ctx, sm, grid, {1: 3, 2: 3}, ctx.unit_weight)
-    restricted[args] += 0.5
-    return uniqueness_check(ctx.rs, 3, restricted, unrestricted)
+    family, rank, level, up_to = args
+    return check_unrestricted(make_ctx(family, rank, level), up_to=up_to)
 
 
 REPORT_DIGESTS = {
@@ -681,34 +576,6 @@ REPORT_DIGESTS = {
         "f2ab4c06e636b96816b3442586a94100daf75a01b5a0673535df94022a2351b0",
     ("unrestricted", "A", 2, 3, 3):
         "79f4a81d7b749b3ff9f27afc91e1b2007cd44619e856245b547e69e55c9bd490",
-    ("zero-strings", "true", 0):
-        "31d6cd9ae530809fedc851906db136ad7d5c9440d5200f453b8ff52e8fa2a87e",
-    ("zero-strings", "true", 1):
-        "8ba63681b160fdbca6fc3f9e1d108e1dafcbb3968befe49394dc24a5e6bceb05",
-    ("zero-strings", "true", 2):
-        "282c714356c5b8faabd8f7d5e17014c1b2e89bf3e94bfabb197ccf8227407176",
-    ("zero-strings", "true", 3):
-        "d28347106d83722c38c95974afac8dc2c328a07604cb72e00e1c7c23dd2a13e2",
-    ("zero-strings", "perturbed", 0):
-        "31d6cd9ae530809fedc851906db136ad7d5c9440d5200f453b8ff52e8fa2a87e",
-    ("zero-strings", "perturbed", 1):
-        "8ba63681b160fdbca6fc3f9e1d108e1dafcbb3968befe49394dc24a5e6bceb05",
-    ("zero-strings", "perturbed", 2):
-        "06fac313776bfe8d5e06a387d9325d87565e0a5d48da4e8d1d252cd30687ea83",
-    ("zero-strings", "perturbed", 3):
-        "35be8f7b9d55afba9c370e6e7430e6deba311ef94a066148c421df579a551cb0",
-    ("zero-strings", "nan", 0):
-        "31d6cd9ae530809fedc851906db136ad7d5c9440d5200f453b8ff52e8fa2a87e",
-    ("zero-strings", "nan", 1):
-        "8ba63681b160fdbca6fc3f9e1d108e1dafcbb3968befe49394dc24a5e6bceb05",
-    ("zero-strings", "nan", 2):
-        "282c714356c5b8faabd8f7d5e17014c1b2e89bf3e94bfabb197ccf8227407176",
-    ("zero-strings", "nan", 3):
-        "d28347106d83722c38c95974afac8dc2c328a07604cb72e00e1c7c23dd2a13e2",
-    ("uniqueness", 1, 2):
-        "f971ccebba13e2dfe30642556d3c714b791e3c252084b39dd7f20b4f9d21ef64",
-    ("uniqueness", 2, 0):
-        "4dd22a37593bc1fb6cf670ad8d1db7e9deea3c08741f5ef91d75b9384fa10f32",
 }
 
 

@@ -30,10 +30,14 @@ from fusionq.smatrix import _BLOCK_BYTES, _epsilon_map, _levi_cosets
 WEYL_ORDERS = {
     ("A", 2): 6,
     ("A", 3): 24,
+    ("A", 6): 5040,
     ("B", 2): 8,
     ("B", 3): 48,
+    ("B", 6): 46080,
     ("C", 3): 48,
+    ("C", 6): 46080,
     ("D", 4): 192,
+    ("D", 6): 23040,
     ("G", 2): 12,
     ("F", 4): 1152,
     ("E", 6): 51840,
@@ -45,7 +49,8 @@ def test_weyl_group_order(key, make_rs):
     mats, signs = weyl_group(make_rs(*key))
     n = WEYL_ORDERS[key]
     assert len(mats) == len(signs) == n
-    # dets split evenly between the two signs
+    # each sign is its matrix's determinant, and they split evenly
+    assert np.array_equal(np.rint(np.linalg.det(mats)), signs)
     assert int(np.sum(signs == 1)) == n // 2
     ident = np.eye(make_rs(*key).rank, dtype=np.int64)
     assert any(np.array_equal(m, ident) for m in mats)
