@@ -366,7 +366,9 @@ def alcove_reduce_many(ctx, weights):
     alpha_i-vee, n the floor of mu's coroot coordinates over kappa, keeps the
     sign and leaves mu in one box of kappa Q-vee.  Walk: reflect each row
     still outside the alcove at its first negative coordinate; a row with a
-    zero coordinate lies on a wall and gets sign 0.
+    zero coordinate lies on a wall and gets sign 0.  Translated rows repeat
+    (a KR column or a tensor product lands many rows in one box point), so
+    only the distinct ones are walked and the results scattered back.
     """
     rs = ctx.rs
     w = np.asarray(weights, dtype=np.int64)
@@ -384,9 +386,29 @@ def alcove_reduce_many(ctx, weights):
         raise ValueError(f"weight {bad} does not have level {ctx.level}")
 
     kappa = ctx.level + rs.dual_coxeter
+    box = kappa * rs.coroot_lattice_index
     fin = w[:, 1:] + 1
-    n = (fin @ ctx._coroot_adj) // (kappa * rs.coroot_lattice_index)
+    q = fin @ ctx._coroot_adj
+    n = q // box
     fin -= kappa * (n @ ctx._coroots)
+    # The translated rows are equal exactly when their box coordinates
+    # q - box n, each in [0, box), are: pack those into as few exact int64
+    # words as fit and lexsort the words.
+    per_word = 1
+    while box ** (per_word + 1) <= 2**63:
+        per_word += 1
+    y = q - box * n
+    words = [
+        y[:, j : j + per_word] @ box ** np.arange(min(per_word, rs.rank - j))
+        for j in range(0, rs.rank, per_word)
+    ]
+    order = np.lexsort(words)
+    ordered = np.column_stack(words)[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    fin = fin[order[first]]
     mu = np.column_stack((kappa - fin @ ctx._comarks[1:], fin))
 
     signs = np.ones(len(mu), dtype=np.int64)
@@ -399,7 +421,7 @@ def alcove_reduce_many(ctx, weights):
         moving = neg.any(axis=1) & ~on_wall
         live, cur, neg = live[moving], cur[moving], neg[moving]
         if not live.size:
-            return signs, mu - 1
+            return signs[inverse], mu[inverse] - 1
         i = neg.argmax(axis=1)
         c = cur[np.arange(live.size), i]
         mu[live] = cur - c[:, None] * ctx._walls[i]
@@ -428,6 +450,15 @@ def _accumulate(ctx, table, owner, finite, mults=None):
     np.add.at(table, (owner[live], idx), signs[live])
 
 
+def _table_terms(ctx, table):
+    """Terms dict of each row of a coefficient table over the basis."""
+    out = []
+    for row in table:
+        nz = np.flatnonzero(row)
+        out.append(dict(zip([ctx.basis[j] for j in nz.tolist()], row[nz].tolist())))
+    return out
+
+
 def reduced_terms(ctx, finite, mults=None):
     """Terms dict of sum_i mults[i] * sign_i * V[reduced_i] over the alcove
     reductions of the rows of an (N, rank) array of finite weights, each
@@ -435,8 +466,17 @@ def reduced_terms(ctx, finite, mults=None):
     fin = np.asarray(finite, dtype=np.int64)
     table = np.zeros((1, len(ctx.basis)), dtype=np.int64)
     _accumulate(ctx, table, np.zeros(len(fin), dtype=np.int64), fin, mults)
-    nz = np.flatnonzero(table[0])
-    return dict(zip([ctx.basis[j] for j in nz.tolist()], table[0, nz].tolist()))
+    return _table_terms(ctx, table)[0]
+
+
+def reduced_terms_many(ctx, owner, finite, count):
+    """Terms dicts of count sums, in one alcove reduction call: sum j is
+    sum_i sign_i * V[reduced_i] over the rows i of an (N, rank) array of
+    finite weights, each affinized to the context's level, with owner[i]
+    equal to j."""
+    table = np.zeros((count, len(ctx.basis)), dtype=np.int64)
+    _accumulate(ctx, table, np.asarray(owner), finite)
+    return _table_terms(ctx, table)
 
 
 def basis_products(ctx, pairs):

@@ -24,11 +24,16 @@ from .fusion import (
     conjugate,
     fusion_product,
     reduced_terms,
+    reduced_terms_many,
 )
 from .smatrix import qdim_table
 
 # Strictness margin of the positivity and monotonicity items in kns_report.
 _MARGIN = 1e-10
+# Rows per alcove reduction call when WGrid fills a column.  Larger calls
+# walk fewer repeated rows, but filling C4 k4 vertex 3 in one call peaks
+# near 42 MB under tracemalloc, against 2.5 MB at this size.
+_FILL_ROWS = 2**12
 
 
 class KRDataUnavailableError(ValueError):
@@ -58,23 +63,21 @@ def supported_vertices(rs):
     return rs.minuscule_vertices
 
 
-def kr_classical_components(rs, a, m):
-    """Finite highest weights in the classical restriction of one KR module.
+def _kr_column(rs, a, m):
+    """The classical components of W^(a)_n for every n <= m, as one draw.
 
-    The supported decompositions are multiplicity-free, so the result is an
-    (N, rank) int64 array of distinct dominant weights, rows in descending
-    lexicographic order.  For the exceptional algebras only the minuscule
-    vertices carry closed-form data (single component, and conjectural
-    there); other vertices raise KRDataUnavailableError.
+    Returns (rows, totals, step): rows is an (N, rank) int64 array whose
+    coordinate a is left 0, and totals, ascending, is how many steps of
+    size step each row takes off that coordinate.  The components of W_n
+    are the first searchsorted(totals, n // step, "right") rows, with
+    coordinate a set to n - step * totals.
     """
     fam, r = rs.type.family, rs.rank
     if not 1 <= a <= r:
         raise ValueError(f"vertex {a} out of range for {rs.type}")
-    if m < 0:
-        raise ValueError(f"KR index must be non-negative, got {m}")
-    out = np.zeros((1, r), dtype=np.int64)
+    single = np.zeros((1, r), dtype=np.int64), np.zeros(1, dtype=np.int64), 1
     if m == 0:
-        return out
+        return single
     if fam in "BD" and not (fam == "D" and a >= r - 1):
         # k_a = m - t_a * total, with total spread over the vertices below a
         # of the same parity; even vertices carry a trivial summand slot.
@@ -87,8 +90,7 @@ def kr_classical_components(rs, a, m):
         slots = a
         step = scale = 2
     elif fam in "ABCD" or a in rs.minuscule_vertices:
-        out[0, a - 1] = m
-        return out
+        return single
     else:
         raise KRDataUnavailableError(
             f"no classical KR decomposition available for {rs.type} vertex {a}"
@@ -96,10 +98,27 @@ def kr_classical_components(rs, a, m):
     # Every total up to m // step at once: the last part is the slack.
     top = m // step
     parts = _stars_and_bars(top, slots + 1)
-    out = np.zeros((len(parts), r), dtype=np.int64)
-    out[:, a - 1] = m - step * (top - parts[:, -1])
-    out[:, np.array(lower, dtype=np.int64) - 1] = scale * parts[:, : len(lower)]
-    return out[np.lexsort((-out).T[::-1])]
+    totals = top - parts[:, -1]
+    order = np.argsort(totals, kind="stable")
+    rows = np.zeros((len(parts), r), dtype=np.int64)
+    rows[:, np.array(lower, dtype=np.int64) - 1] = scale * parts[order, : len(lower)]
+    return rows, totals[order], step
+
+
+def kr_classical_components(rs, a, m):
+    """Finite highest weights in the classical restriction of one KR module.
+
+    The supported decompositions are multiplicity-free, so the result is an
+    (N, rank) int64 array of distinct dominant weights, rows in descending
+    lexicographic order.  For the exceptional algebras only the minuscule
+    vertices carry closed-form data (single component, and conjectural
+    there); other vertices raise KRDataUnavailableError.
+    """
+    if m < 0:
+        raise ValueError(f"KR index must be non-negative, got {m}")
+    rows, totals, step = _kr_column(rs, a, m)
+    rows[:, a - 1] = m - step * totals
+    return rows[np.lexsort((-rows).T[::-1])]
 
 
 def kr_element(ctx, a, m):
@@ -124,7 +143,13 @@ def period_multiplier(rs):
 
 
 class WGrid:
-    """Lazy table of KR elements indexed by (vertex, m); m = -1 is zero."""
+    """Lazy table of KR elements indexed by (vertex, m); m = -1 is zero.
+
+    A miss builds the whole column below it, and callers that know the top
+    m they will read ask for it first with fill, so that a column is
+    reduced in a few batched calls rather than one call per m.  kr_element
+    is the per-m reference.
+    """
 
     def __init__(self, ctx, vertices=None):
         self.ctx = ctx
@@ -143,11 +168,36 @@ class WGrid:
     def get(self, a, m):
         if m == -1:
             return self.ctx.zero()
-        key = (a, m)
-        elem = self._elems.get(key)
-        if elem is None:
-            elem = self._elems[key] = kr_element(self.ctx, a, m)
-        return elem
+        if (a, m) not in self._elems:
+            self.fill(a, m)
+        return self._elems[a, m]
+
+    def fill(self, a, top):
+        """Build every missing W_m of vertex a with m <= top, from one draw
+        of the column.  The modules go through the alcove reduction in calls
+        of at most _FILL_ROWS rows, or of one module where it alone is
+        larger: a whole column in one call would hold every row at once."""
+        missing = [m for m in range(top + 1) if (a, m) not in self._elems]
+        if not missing:
+            return
+        rows, totals, step = _kr_column(self.ctx.rs, a, missing[-1])
+        counts = np.searchsorted(totals, np.array(missing) // step, side="right")
+        calls, size = [[]], 0
+        for m, count in zip(missing, counts.tolist()):
+            if calls[-1] and size + count > _FILL_ROWS:
+                calls.append([])
+                size = 0
+            calls[-1].append((m, count))
+            size += count
+        for call in calls:
+            ms, sizes = np.array(call).T
+            owner = np.repeat(np.arange(len(call)), sizes)
+            idx = np.concatenate([np.arange(c) for c in sizes.tolist()])
+            fin = rows[idx]
+            fin[:, a - 1] = ms[owner] - step * totals[idx]
+            found = reduced_terms_many(self.ctx, owner, fin, len(call))
+            for m, terms in zip(ms.tolist(), found):
+                self._elems[a, m] = FusionElement(terms)
 
 
 # -- reports ------------------------------------------------------------------
@@ -246,7 +296,8 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
     m-loops of items i, ii, iv, v, sign and period, and items i, iv, v,
     sign and period then read no W_m with m above it.  Items ii and iii
     still read W_{tk-m} and W_{tk}, so the KR elements up to tk are built
-    whatever the horizon.
+    whatever the horizon.  Each column is filled up front to the top m
+    read, max(clamp(2 M t kappa - 1), tk), and to nothing above it.
     """
     if grid is None:
         grid = WGrid(ctx, vertices)
@@ -272,7 +323,9 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
         M = period_multiplier(rs)
         tau = rs.tau_table[a]
         sigma = rs.sigma_table[a]
+        full = M * period
 
+        grid.fill(a, max(clamp(2 * full - 1), ta * k))
         for m in range(clamp(ta * k) + 1):
             rep.add("i", a, m, _is_positive(grid.get(a, m)))
         for m in range(clamp(ta * k) + 1):
@@ -291,7 +344,6 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
                 lhs = grid.get(a, m + shift)
                 rhs = sigma**n * apply_outer(ctx, perm, grid.get(a, m))
                 rep.add("v", a, m + shift, lhs == rhs)
-        full = M * period
         for m in range(clamp(full - 1) + 1):
             rep.add("sign", a, m, _sign_definite(grid.get(a, m)))
         for m in range(clamp(full - 1 + full) - full + 1):
@@ -402,6 +454,7 @@ def restricted_solution(ctx, grid=None):
         ta = rs.t[a - 1]
         s = ta * k // 2
         tau = rs.tau_table[a]
+        grid.fill(a, s + 1)
         for m in range(s + 1):
             elems[(a, m)] = grid.get(a, m)
         for m in range(s + 1, ta * k + 1):
@@ -557,6 +610,7 @@ def kns_report(ctx, sm, grid=None, solution=None, tol=1e-9):
     dims = {}
     for a in range(1, rs.rank + 1):
         ta = rs.t[a - 1]
+        grid.fill(a, ta * kappa - 1)
         qd[a] = qdim_table(sm, [grid.get(a, m) for m in range(ta * kappa)])
         qd_R[a] = qdim_table(sm, [solution.get(a, m) for m in range(ta * k + 1)])
         dims[a] = qd[a][:, unit].real.tolist()

@@ -182,6 +182,30 @@ def test_alcove_reduce_many_wall_rows(make_ctx):
     assert _assert_matches_reference(su2, [(-4, 5)]).tolist() == [0]
 
 
+@pytest.mark.parametrize(
+    "family,rank,level", [("A", 2, 3), ("C", 4, 4), ("A", 33, 3), ("C", 7, 2)]
+)
+def test_alcove_reduce_many_repeated_box_points(family, rank, level, make_ctx):
+    """Rows the translation stage sends to one box point are walked once.
+    Basis weights, the same weights shifted by kappa times a random coroot
+    combination, and the weights again all reduce like the scalar
+    reference; so do the weights plus the last simple coroot, whose box
+    points differ from theirs only in the last coordinate.  At A33 k3 and
+    C7 k2 the box coordinates need more than one int64 word."""
+    ctx = make_ctx(family, rank, level)
+    rs = ctx.rs
+    kappa = level + rs.dual_coxeter
+    words_needed = (kappa * rs.coroot_lattice_index) ** rank > 2**63
+    assert words_needed == (rank > 6)
+    rng = np.random.default_rng(rank)
+    coroots = np.array(rs.coroot_rows)
+    basis = np.array(ctx.basis)[:, 1:]
+    base = basis[rng.choice(len(basis), size=min(len(basis), 20), replace=False)]
+    shifts = kappa * (rng.integers(-1, 2, size=base.shape) @ coroots)
+    finite = np.concatenate((base, base + shifts, base + coroots[-1], base[::-1]))
+    _assert_matches_reference(ctx, [affinize(ctx, f) for f in finite.tolist()])
+
+
 @pytest.mark.parametrize("n", [0, 1, 7])
 def test_alcove_reduce_many_batch_shapes(n, make_ctx):
     ctx = make_ctx("B", 3, 3)
@@ -261,17 +285,22 @@ def _scalar_terms(ctx, finite, mults):
 
 
 @pytest.mark.parametrize(
-    "family,rank,level", [("A", 3, 3), ("B", 3, 3), ("C", 3, 3), ("D", 5, 3)]
+    "family,rank,level",
+    [("A", 3, 3), ("B", 3, 3), ("C", 3, 3), ("D", 5, 3), ("E", 6, 2)],
 )
 def test_kr_element_matches_scalar_reference(family, rank, level, make_ctx):
-    """Two full predicted periods of every supported vertex."""
+    """Two full predicted periods of every supported vertex (the minuscule
+    ones on E6): the grid's column fill, per-m kr_element and scalar
+    reduction agree."""
     ctx = make_ctx(family, rank, level)
     grid = WGrid(ctx)
     for a in grid.vertices:
-        for m in range(2 * grid.default_horizon(a) + 1):
+        top = 2 * grid.default_horizon(a)
+        grid.fill(a, top)
+        for m in range(top + 1):
             comps = kr_classical_components(ctx.rs, a, m)
             expect = _scalar_terms(ctx, comps, [1] * len(comps))
-            assert kr_element(ctx, a, m) == expect, (a, m)
+            assert grid.get(a, m) == kr_element(ctx, a, m) == expect, (a, m)
 
 
 def _scalar_product(ctx, la, mu):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,33 @@ def test_conjecture_horizon_clamp(make_ctx):
     rep = check_conjecture(ctx, horizon=3)
     assert rep.ok
     assert max(i["m"] for i in rep.items if i["m"] is not None) <= 3
+
+
+@pytest.mark.parametrize("horizon", [0, 3])
+def test_conjecture_horizon_bounds_the_grid(horizon, make_ctx):
+    """With a horizon the grid builds no W_m above what the items read:
+    m <= max(horizon, t_a k), item ii reading up to t_a k."""
+    ctx = make_ctx("C", 3, 3)
+    grid = WGrid(ctx)
+    check_conjecture(ctx, horizon=horizon, grid=grid)
+    for a in grid.vertices:
+        built = [m for b, m in grid._elems if b == a]
+        assert max(built) == max(horizon, ctx.rs.t[a - 1] * 3), a
+
+
+def test_column_fill_peak_memory(make_ctx):
+    """Filling C4 k4 vertex 3 up to m = 71 (164,502 component rows) in
+    calls of a few thousand rows: the tracemalloc peak stays under 6 MB,
+    where reducing the whole column in one call peaks near 42 MB."""
+    grid = WGrid(make_ctx("C", 4, 4))
+    tracemalloc.start()
+    try:
+        grid.fill(3, 71)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(grid._elems) == [(3, m) for m in range(72)]
+    assert peak < 6 * 2**20
 
 
 def test_conjecture_partial_exceptional(make_ctx):
