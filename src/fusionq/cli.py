@@ -49,12 +49,9 @@ def _context(args):
     return FusionContext(rs, args.level, cache_dir=cache_dir)
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(path):
+    """The file to write a command's output to: path, or stdout if None."""
+    return open(path, "w", newline="") if path else nullcontext(sys.stdout)
 
 
 def _weight_label(w):
@@ -83,8 +80,7 @@ def cmd_ring(args):
         separators=(",", ":"),
     )
     prefix = {w: '{"w":[%s],"c":' % ",".join(map(str, w)) for w in ctx.basis}
-    out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
-    with out as fh:
+    with _output(args.out) as fh:
         fh.write(head[:-1] + ',"products":[')
         for k, terms in enumerate(found):
             body = ",".join([prefix[w] + str(c) + "}" for w, c in terms.items()])
@@ -114,7 +110,8 @@ def cmd_verify(args):
         reports.append(kns.report)
     ctx.save_cache()
     obj = [rep.to_obj() for rep in reports]
-    _emit(json.dumps(obj, separators=(",", ":")) + "\n", args.out)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
     ok = all(rep.ok for rep in reports)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -144,7 +141,8 @@ def cmd_smatrix(args):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         text = buf.getvalue()
-    _emit(text, args.out)
+    with _output(args.out) as fh:
+        fh.write(text)
     print(f"unitarity residual {residual:.3e}", file=sys.stderr)
     if residual > args.tol:
         return EXIT_NUMERIC

@@ -429,54 +429,44 @@ def alcove_reduce_many(ctx, weights):
     raise ReductionLimitError(f"no convergence after {_REDUCE_CAP} reflections")
 
 
-def _accumulate(ctx, table, owner, finite, mults=None):
-    """Add mults[i] * sign_i to table[owner[i], j] for every row i of an
-    (N, rank) array of finite weights, each affinized to the context's level,
-    whose alcove reduction is basis[j] (mults defaults to all 1)."""
-    fin = np.asarray(finite, dtype=np.int64)
-    weights = np.column_stack((ctx.level - fin @ ctx._comarks[1:], fin))
-    signs, reduced = alcove_reduce_many(ctx, weights)
-    if mults is not None:
-        signs *= np.asarray(mults, dtype=np.int64)
-    live = np.flatnonzero(signs)
-    # The basis weights are the nonnegative rows of the context's level; the
-    # level left before each finite label then indexes the rank table.
-    rows = reduced[live]
-    spent = rows[:, 1:] * ctx._comarks[1:]
-    left = ctx.level - np.cumsum(spent, axis=1) + spent
-    if (rows < 0).any() or (left[:, -1] - spent[:, -1] != rows[:, 0]).any():
-        raise AssertionError("alcove reduction left the level-k basis")
-    idx = ctx._rank_offsets[np.arange(ctx.rs.rank), left, rows[:, 1:]].sum(axis=1)
-    np.add.at(table, (owner[live], idx), signs[live])
+def reduced_terms_many(ctx, count, total, rows_at, budget):
+    """Terms dicts, each in ascending order, of count sums of signed alcove
+    reductions; this is the only way from rows to terms.
 
-
-def _table_terms(ctx, table):
-    """Terms dict of each row of a coefficient table over the basis."""
-    out = []
-    for row in table:
-        nz = np.flatnonzero(row)
-        out.append(dict(zip([ctx.basis[j] for j in nz.tolist()], row[nz].tolist())))
-    return out
-
-
-def reduced_terms(ctx, finite, mults=None):
-    """Terms dict of sum_i mults[i] * sign_i * V[reduced_i] over the alcove
-    reductions of the rows of an (N, rank) array of finite weights, each
-    affinized to the context's level (mults defaults to all 1)."""
-    fin = np.asarray(finite, dtype=np.int64)
-    table = np.zeros((1, len(ctx.basis)), dtype=np.int64)
-    _accumulate(ctx, table, np.zeros(len(fin), dtype=np.int64), fin, mults)
-    return _table_terms(ctx, table)[0]
-
-
-def reduced_terms_many(ctx, owner, finite, count):
-    """Terms dicts of count sums, in one alcove reduction call: sum j is
-    sum_i sign_i * V[reduced_i] over the rows i of an (N, rank) array of
-    finite weights, each affinized to the context's level, with owner[i]
-    equal to j."""
+    The rows are known by position: rows_at(p), for an int64 array p of
+    positions in [0, total), returns (owner, finite, mults), where row i adds
+    mults[i] * sign_i * V[reduced_i] into sum owner[i], finite is an
+    (len(p), rank) array of finite weights, each affinized to the context's
+    level, and mults None stands for all 1.  The positions go through
+    alcove_reduce_many in slices of at most budget rows, so a caller's sum
+    may be cut across calls: every row adds into its owner's row of one
+    (count, basis) table.
+    """
     table = np.zeros((count, len(ctx.basis)), dtype=np.int64)
-    _accumulate(ctx, table, np.asarray(owner), finite)
-    return _table_terms(ctx, table)
+    for start in range(0, total, budget):
+        owner, finite, mults = rows_at(np.arange(start, min(start + budget, total)))
+        fin = np.asarray(finite, dtype=np.int64)
+        weights = np.column_stack((ctx.level - fin @ ctx._comarks[1:], fin))
+        signs, reduced = alcove_reduce_many(ctx, weights)
+        if mults is not None:
+            signs *= mults
+        live = np.flatnonzero(signs)
+        # The basis weights are the nonnegative rows of the context's level;
+        # the level left before each finite label then indexes the rank table.
+        rows = reduced[live]
+        spent = rows[:, 1:] * ctx._comarks[1:]
+        left = ctx.level - np.cumsum(spent, axis=1) + spent
+        if (rows < 0).any() or (left[:, -1] - spent[:, -1] != rows[:, 0]).any():
+            raise AssertionError("alcove reduction left the level-k basis")
+        idx = ctx._rank_offsets[np.arange(ctx.rs.rank), left, rows[:, 1:]].sum(axis=1)
+        np.add.at(table, (owner[live], idx), signs[live])
+    # Terms in ascending order: columns in affine order, row-major nonzeros.
+    table = table[:, ctx._affine_order]
+    owner, col = np.nonzero(table)
+    ends = np.cumsum(np.bincount(owner, minlength=count)).tolist()
+    labels = [ctx.basis[j] for j in ctx._affine_order[col].tolist()]
+    coeffs = table[owner, col].tolist()
+    return [dict(zip(labels[s:e], coeffs[s:e])) for s, e in zip([0] + ends, ends)]
 
 
 def basis_products(ctx, pairs):
@@ -484,11 +474,10 @@ def basis_products(ctx, pairs):
 
     This is the only way into the product table.  Pairs not in it yet are
     computed first, each unordered pair once: pairs that share their
-    smaller factor (by Weyl dimension) form one group, the weights of the
-    smaller factor, shifted by every partner, go through alcove_reduce_many
-    in chunks of at most _BATCH_ROWS rows, and the signed multiplicities
-    accumulate into one row per partner.  Each product's terms are stored
-    in ascending order.
+    smaller factor (by Weyl dimension) form one group, whose rows, the
+    weights of the smaller factor shifted by every partner, go through
+    reduced_terms_many in slices of at most _BATCH_ROWS rows, one sum per
+    partner.  Each product's terms are stored in ascending order.
     """
     rs = ctx.rs
     products = ctx._products
@@ -513,37 +502,19 @@ def basis_products(ctx, pairs):
     for small, partners in groups.items():
         ws = rs.weight_multiplicities(small)
         big = np.array(list(partners.values()), dtype=np.int64)
-        table = np.zeros((len(big), len(ctx.basis)), dtype=np.int64)
-        # Each chunk is a block of partners times a block of weights.
-        span = min(len(ws.mults), _BATCH_ROWS)
-        step = _BATCH_ROWS // span
-        for p in range(0, len(big), step):
-            shifts = big[p : p + step, None, :]
-            for w in range(0, len(ws.mults), span):
-                weights = ws.weights[w : w + span]
-                _accumulate(
-                    ctx,
-                    table,
-                    np.repeat(np.arange(p, p + len(shifts)), len(weights)),
-                    (shifts + weights).reshape(-1, rs.rank),
-                    np.tile(ws.mults[w : w + span], len(shifts)),
-                )
-        # Terms in ascending order: columns in affine order, row-major nonzeros.
-        table = table[:, ctx._affine_order]
-        owner, col = np.nonzero(table)
-        coeffs = table[owner, col]
-        ends = np.cumsum(np.bincount(owner, minlength=len(big))).tolist()
-        labels = [ctx.basis[j] for j in ctx._affine_order[col].tolist()]
-        coeffs = coeffs.tolist()
-        start = 0
-        for (la, mu), end in zip(partners, ends):
-            result = dict(zip(labels[start:end], coeffs[start:end]))
-            if min(coeffs[start:end], default=0) < 0:
+        d = len(ws.mults)
+
+        def rows_at(p):
+            j, i = np.divmod(p, d)
+            return j, big[j] + ws.weights[i], ws.mults[i]
+
+        found = reduced_terms_many(ctx, len(big), len(big) * d, rows_at, _BATCH_ROWS)
+        for (la, mu), result in zip(partners, found):
+            if min(result.values(), default=0) < 0:
                 raise AssertionError(
                     f"negative structure constant in {la} * {mu}: {result}"
                 )
             products[(la, mu)] = result
-            start = end
     return [products[key] for key in keys]
 
 

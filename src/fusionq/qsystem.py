@@ -23,7 +23,6 @@ from .fusion import (
     apply_outer,
     conjugate,
     fusion_product,
-    reduced_terms,
     reduced_terms_many,
 )
 from .smatrix import qdim_table
@@ -32,7 +31,7 @@ from .smatrix import qdim_table
 _MARGIN = 1e-10
 # Rows per alcove reduction call when WGrid fills a column.  Larger calls
 # walk fewer repeated rows, but filling C4 k4 vertex 3 in one call peaks
-# near 42 MB under tracemalloc, against 2.5 MB at this size.
+# near 42 MB under tracemalloc, against 2.0 MB at this size.
 _FILL_ROWS = 2**12
 
 
@@ -122,8 +121,14 @@ def kr_classical_components(rs, a, m):
 
 
 def kr_element(ctx, a, m):
-    """Fusion-ring image of the classical character of one KR module."""
-    return FusionElement(reduced_terms(ctx, kr_classical_components(ctx.rs, a, m)))
+    """Fusion-ring image of the classical character of one KR module, in
+    one alcove reduction call."""
+    comps = kr_classical_components(ctx.rs, a, m)
+    n = len(comps)
+    (terms,) = reduced_terms_many(
+        ctx, 1, n, lambda p: (np.zeros_like(p), comps[p], None), n
+    )
+    return FusionElement(terms)
 
 
 def period_multiplier(rs):
@@ -174,30 +179,30 @@ class WGrid:
 
     def fill(self, a, top):
         """Build every missing W_m of vertex a with m <= top, from one draw
-        of the column.  The modules go through the alcove reduction in calls
-        of at most _FILL_ROWS rows, or of one module where it alone is
-        larger: a whole column in one call would hold every row at once."""
+        of the column.  The modules' rows, in order of m, go through the
+        alcove reduction in slices of at most _FILL_ROWS rows: a whole
+        column in one call would hold every row at once."""
         missing = [m for m in range(top + 1) if (a, m) not in self._elems]
         if not missing:
             return
         rows, totals, step = _kr_column(self.ctx.rs, a, missing[-1])
-        counts = np.searchsorted(totals, np.array(missing) // step, side="right")
-        calls, size = [[]], 0
-        for m, count in zip(missing, counts.tolist()):
-            if calls[-1] and size + count > _FILL_ROWS:
-                calls.append([])
-                size = 0
-            calls[-1].append((m, count))
-            size += count
-        for call in calls:
-            ms, sizes = np.array(call).T
-            owner = np.repeat(np.arange(len(call)), sizes)
-            idx = np.concatenate([np.arange(c) for c in sizes.tolist()])
+        ms = np.array(missing)
+        counts = np.searchsorted(totals, ms // step, side="right")
+        ends = np.cumsum(counts)
+        starts = ends - counts
+
+        def rows_at(p):
+            # Position p is row p - starts[j] of module W_{ms[j]}.
+            j = np.searchsorted(ends, p, side="right")
+            idx = p - starts[j]
             fin = rows[idx]
-            fin[:, a - 1] = ms[owner] - step * totals[idx]
-            found = reduced_terms_many(self.ctx, owner, fin, len(call))
-            for m, terms in zip(ms.tolist(), found):
-                self._elems[a, m] = FusionElement(terms)
+            fin[:, a - 1] = ms[j] - step * totals[idx]
+            return j, fin, None
+
+        total = int(ends[-1])
+        found = reduced_terms_many(self.ctx, len(ms), total, rows_at, _FILL_ROWS)
+        for m, terms in zip(missing, found):
+            self._elems[a, m] = FusionElement(terms)
 
 
 # -- reports ------------------------------------------------------------------

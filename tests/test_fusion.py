@@ -370,7 +370,10 @@ def test_reduced_rows_find_their_basis_index(family, rank, level, make_ctx):
     ctx = make_ctx(family, rank, level)
     finite = np.array(ctx.basis, dtype=np.int64)[:, 1:]
     tags = np.arange(1, len(finite) + 1)
-    terms = fusion.reduced_terms(ctx, finite, tags)
+    n = len(finite)
+    (terms,) = fusion.reduced_terms_many(
+        ctx, 1, n, lambda p: (np.zeros_like(p), finite[p], tags[p]), n
+    )
     assert terms == dict(zip(ctx.basis, tags.tolist()))
 
 

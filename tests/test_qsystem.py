@@ -29,6 +29,7 @@ from fusionq import (
     solve_f_system,
     supported_vertices,
 )
+from fusionq import qsystem
 
 # -- component multisets ------------------------------------------------------
 
@@ -267,6 +268,35 @@ def test_column_fill_peak_memory(make_ctx):
         tracemalloc.stop()
     assert sorted(grid._elems) == [(3, m) for m in range(72)]
     assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("rows", [1, 7, 50])
+@pytest.mark.parametrize("family,rank,level", [("C", 3, 3), ("B", 3, 2), ("D", 5, 2)])
+def test_fills_cut_through_modules(family, rank, level, rows, make_ctx, monkeypatch):
+    """A row budget of a few rows cuts modules across reduction calls
+    without changing any W_m, and every terms dict comes back ascending."""
+    ctx = make_ctx(family, rank, level)
+    full = WGrid(ctx)
+    tops = {a: full.default_horizon(a) for a in full.vertices}
+    for a, top in tops.items():
+        full.fill(a, top)
+    reduce = qsystem.reduced_terms_many
+    found = []
+
+    def record(*args):
+        out = reduce(*args)
+        found.extend(out)
+        return out
+
+    monkeypatch.setattr(qsystem, "_FILL_ROWS", rows)
+    monkeypatch.setattr(qsystem, "reduced_terms_many", record)
+    chunked = WGrid(ctx)
+    for a, top in tops.items():
+        chunked.fill(a, top)
+        for m in range(top + 1):
+            assert chunked.get(a, m) == full.get(a, m) == kr_element(ctx, a, m), (a, m)
+    assert all(list(terms) == sorted(terms) for terms in found)
+    assert any(len(terms) > 1 for terms in found)
 
 
 def test_conjecture_partial_exceptional(make_ctx):
