@@ -178,6 +178,21 @@ class FusionContext:
         self.weight_bound = _INT64_HEADROOM // (
             (adj_sum + kappa) * coroot_sum + rs.dual_coxeter
         )
+        # The memo of alcove_reduce_many: the box points walked so far, as
+        # sorted keys, with one code per key, sign * (basis index + 1), or 0
+        # on a wall.  A key packs a point's coordinates, each in [0, box),
+        # into as few exact int64 words as fit; several words are viewed as
+        # one void key.
+        box = kappa * rs.coroot_lattice_index
+        per_word = 1
+        while box ** (per_word + 1) <= 2**63:
+            per_word += 1
+        self._key_radix = box ** np.arange(per_word)
+        words = -(-rs.rank // per_word)
+        key = np.dtype(np.int64) if words == 1 else np.dtype((np.void, 8 * words))
+        self._memo_keys = np.empty(0, dtype=key)
+        self._memo_codes = np.empty(0, dtype=np.int64)
+        self._basis_rows = np.array(self.basis, dtype=np.int64)
         if cache_dir:
             self._load_cache()
 
@@ -259,7 +274,7 @@ class FusionContext:
             rhs = np.bincount(owner, coeffs * dim[terms], minlength=len(pairs))
             if (np.abs(lhs - rhs) > _CACHE_DIM_RTOL * lhs).any():
                 raise ValueError("quantum dimensions disagree")
-            flip = np.array(self.basis)[:, np.argsort(self.rs.conj_perm)]
+            flip = self._basis_rows[:, np.argsort(self.rs.conj_perm)]
             bar = np.array([self.basis_index[w] for w in map(tuple, flip.tolist())])
             la, mu = pairs[owner].T
             have, want = key(la, mu, terms), key(la, bar[terms], bar[mu])
@@ -360,15 +375,16 @@ def alcove_reduce_many(ctx, weights):
     int64 signs and an (N, rank+1) int64 array, row by row what
     alcove_reduce returns (a row whose sign is 0 holds no weight).
 
-    Works on the shifted weights mu = w + rho in two stages.  Translate: the
-    shifted affine Weyl group is W extended by the translations kappa Q-vee
-    (kappa = k + h-vee), which are even, so subtracting kappa sum n_i
-    alpha_i-vee, n the floor of mu's coroot coordinates over kappa, keeps the
-    sign and leaves mu in one box of kappa Q-vee.  Walk: reflect each row
-    still outside the alcove at its first negative coordinate; a row with a
-    zero coordinate lies on a wall and gets sign 0.  Translated rows repeat
-    (a KR column or a tensor product lands many rows in one box point), so
-    only the distinct ones are walked and the results scattered back.
+    Works on the shifted weights mu = w + rho.  The shifted affine Weyl
+    group is W extended by the translations kappa Q-vee (kappa = k + h-vee),
+    which are even, so a row reduces like its point in one box of kappa
+    Q-vee, and rows with equal box coordinates (coroot coordinates times the
+    coroot-lattice index, mod kappa times that index) reduce alike.  Each
+    box point is walked at most once per context: the points in the
+    context's memo are looked up; the others are translated into the box
+    (subtract kappa sum n_i alpha_i-vee, n the floor of mu's coroot
+    coordinates over kappa), walked by _walk, checked to land on the basis
+    and merged into the memo.
     """
     rs = ctx.rs
     w = np.asarray(weights, dtype=np.int64)
@@ -389,28 +405,51 @@ def alcove_reduce_many(ctx, weights):
     box = kappa * rs.coroot_lattice_index
     fin = w[:, 1:] + 1
     q = fin @ ctx._coroot_adj
-    n = q // box
-    fin -= kappa * (n @ ctx._coroots)
-    # The translated rows are equal exactly when their box coordinates
-    # q - box n, each in [0, box), are: pack those into as few exact int64
-    # words as fit and lexsort the words.
-    per_word = 1
-    while box ** (per_word + 1) <= 2**63:
-        per_word += 1
-    y = q - box * n
-    words = [
-        y[:, j : j + per_word] @ box ** np.arange(min(per_word, rs.rank - j))
-        for j in range(0, rs.rank, per_word)
-    ]
-    order = np.lexsort(words)
-    ordered = np.column_stack(words)[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    fin = fin[order[first]]
-    mu = np.column_stack((kappa - fin @ ctx._comarks[1:], fin))
+    y = q % box
+    per_word = len(ctx._key_radix)
+    words = np.column_stack(
+        [
+            y[:, j : j + per_word] @ ctx._key_radix[: rs.rank - j]
+            for j in range(0, rs.rank, per_word)
+        ]
+    )
+    known = ctx._memo_keys
+    keys = words.view(known.dtype)[:, 0]
+    at = np.searchsorted(known, keys)
+    hit = at < len(known)
+    hit[hit] = known[at[hit]] == keys[hit]
+    codes = np.empty(len(keys), dtype=np.int64)
+    codes[hit] = ctx._memo_codes[at[hit]]
+    miss = np.flatnonzero(~hit)
+    if miss.size:
+        new, first, inverse = np.unique(
+            keys[miss], return_index=True, return_inverse=True
+        )
+        rows = miss[first]
+        fin = fin[rows] - kappa * ((q[rows] // box) @ ctx._coroots)
+        mu = np.column_stack((kappa - fin @ ctx._comarks[1:], fin))
+        signs, mu = _walk(ctx, mu)
+        live = np.flatnonzero(signs)
+        signs[live] *= _basis_indices(ctx, mu[live] - 1) + 1
+        codes[miss] = signs[inverse]
+        # Merge: the new keys go where searchsorted puts them, shifted by
+        # the new keys before them; the known keys fill the rest in order.
+        place = np.searchsorted(known, new) + np.arange(len(new))
+        taken = np.zeros(len(known) + len(new), dtype=bool)
+        taken[place] = True
+        merged = []
+        for old, add in ((known, new), (ctx._memo_codes, signs)):
+            out = np.empty(len(taken), dtype=old.dtype)
+            out[place], out[~taken] = add, old
+            merged.append(out)
+        ctx._memo_keys, ctx._memo_codes = merged
+    return np.sign(codes), ctx._basis_rows[np.abs(codes) - 1]
 
+
+def _walk(ctx, mu):
+    """Reflect each shifted affine row of mu still outside the alcove at its
+    first negative coordinate until none is; a row with a zero coordinate
+    lies on a wall and gets sign 0.  Returns the signs and the walked rows."""
     signs = np.ones(len(mu), dtype=np.int64)
     live = np.arange(len(mu))
     for _ in range(_REDUCE_CAP):
@@ -421,12 +460,23 @@ def alcove_reduce_many(ctx, weights):
         moving = neg.any(axis=1) & ~on_wall
         live, cur, neg = live[moving], cur[moving], neg[moving]
         if not live.size:
-            return signs[inverse], mu[inverse] - 1
+            return signs, mu
         i = neg.argmax(axis=1)
         c = cur[np.arange(live.size), i]
         mu[live] = cur - c[:, None] * ctx._walls[i]
         signs[live] *= -1
     raise ReductionLimitError(f"no convergence after {_REDUCE_CAP} reflections")
+
+
+def _basis_indices(ctx, rows):
+    """Basis indices of affine rows, which must be basis weights: the
+    nonnegative rows of the context's level.  The level left before each
+    finite label indexes the rank table."""
+    spent = rows[:, 1:] * ctx._comarks[1:]
+    left = ctx.level - np.cumsum(spent, axis=1) + spent
+    if (rows < 0).any() or (left[:, -1] - spent[:, -1] != rows[:, 0]).any():
+        raise AssertionError("alcove reduction left the level-k basis")
+    return ctx._rank_offsets[np.arange(ctx.rs.rank), left, rows[:, 1:]].sum(axis=1)
 
 
 def reduced_terms_many(ctx, count, total, rows_at, budget):
@@ -451,14 +501,7 @@ def reduced_terms_many(ctx, count, total, rows_at, budget):
         if mults is not None:
             signs *= mults
         live = np.flatnonzero(signs)
-        # The basis weights are the nonnegative rows of the context's level;
-        # the level left before each finite label then indexes the rank table.
-        rows = reduced[live]
-        spent = rows[:, 1:] * ctx._comarks[1:]
-        left = ctx.level - np.cumsum(spent, axis=1) + spent
-        if (rows < 0).any() or (left[:, -1] - spent[:, -1] != rows[:, 0]).any():
-            raise AssertionError("alcove reduction left the level-k basis")
-        idx = ctx._rank_offsets[np.arange(ctx.rs.rank), left, rows[:, 1:]].sum(axis=1)
+        idx = _basis_indices(ctx, reduced[live])
         np.add.at(table, (owner[live], idx), signs[live])
     # Terms in ascending order: columns in affine order, row-major nonzeros.
     table = table[:, ctx._affine_order]

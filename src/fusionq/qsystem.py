@@ -29,9 +29,10 @@ from .smatrix import qdim_table
 
 # Strictness margin of the positivity and monotonicity items in kns_report.
 _MARGIN = 1e-10
-# Rows per alcove reduction call when WGrid fills a column.  Larger calls
-# walk fewer repeated rows, but filling C4 k4 vertex 3 in one call peaks
-# near 42 MB under tracemalloc, against 2.0 MB at this size.
+# Rows per alcove reduction call when WGrid fills a column.  The context's
+# memo walks each box point once whatever the call size, so this bounds only
+# memory: filling C4 k4 vertex 3 in one call peaks near 41 MB under
+# tracemalloc, against 1.6 MB at this size.
 _FILL_ROWS = 2**12
 
 

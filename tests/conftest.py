@@ -1,8 +1,10 @@
 """Shared fixtures.
 
-Root systems and fusion contexts are immutable once built, so everything
-is cached at session scope; S-matrices large enough to matter (the D
-family) are cached too.
+Root systems, fusion contexts and S-matrices are cached at session scope.
+A fusion context is not immutable: it carries its product table and the
+memo of box points its alcove reductions have walked, so a test whose
+claim depends on what was computed before it (a walk count, a reduction
+cap) builds a fresh FusionContext instead.
 """
 
 import pytest

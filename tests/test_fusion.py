@@ -22,6 +22,7 @@ from fusionq import (
     alcove_reduce_many,
     apply_outer,
     build_root_system,
+    check_conjecture,
     conjugate,
     enumerate_basis,
     fusion_product,
@@ -229,16 +230,17 @@ def test_alcove_reduce_many_validates_like_reference(make_ctx):
         assert str(many.value) == str(ref.value)
 
 
-def test_reduction_cap_on_both_paths(make_ctx, monkeypatch):
+def test_reduction_cap_on_both_paths(make_rs, monkeypatch):
     """_REDUCE_CAP counts loop passes; the pass that finds the weight
     dominant is one of them.  (-18, 9, 12) at A2 level 3 takes 6 scalar
-    reflections, and 2 after the translation."""
-    ctx = make_ctx("A", 2, 3)
+    reflections, and 2 after the translation.  Each cap gets a fresh
+    context, whose memo has not walked the weight yet."""
     w = (-18, 9, 12)
-    expect = alcove_reduce(ctx, w)
+    expect = alcove_reduce(FusionContext(make_rs("A", 2), 3), w)
     for cap, scalar_ok, batched_ok in [(1, False, False), (2, False, False),
                                        (3, False, True), (6, False, True),
                                        (7, True, True)]:  # fmt: skip
+        ctx = FusionContext(make_rs("A", 2), 3)
         monkeypatch.setattr(fusion, "_REDUCE_CAP", cap)
         if scalar_ok:
             assert alcove_reduce(ctx, w) == expect
@@ -251,6 +253,115 @@ def test_reduction_cap_on_both_paths(make_ctx, monkeypatch):
         else:
             with pytest.raises(ReductionLimitError):
                 alcove_reduce_many(ctx, [w])
+
+
+def _memo_batch(ctx, rng):
+    """Finite weights that exercise the memo: basis weights, the same
+    weights shifted by kappa times a random coroot combination, rows on a
+    wall (a label of -1) before and after such a shift, and random weights
+    a few boxes out."""
+    rs = ctx.rs
+    kappa = ctx.level + rs.dual_coxeter
+    coroots = np.array(rs.coroot_rows)
+    basis = np.array(ctx.basis)[:, 1:]
+    base = basis[rng.choice(len(basis), size=min(len(basis), 20), replace=False)]
+    walls = base.copy()
+    walls[:, rng.integers(rs.rank)] = -1
+    shifts = kappa * (rng.integers(-1, 2, size=base.shape) @ coroots)
+    far = rng.integers(-3 * kappa, 3 * kappa, size=(20, rs.rank))
+    finite = np.concatenate((base, base + shifts, walls, walls + shifts, far))
+    return np.array([affinize(ctx, f) for f in finite.tolist()])
+
+
+@pytest.mark.parametrize(
+    "family,rank,level", [("A", 2, 3), ("C", 4, 4), ("A", 33, 3), ("C", 7, 2)]
+)
+def test_memo_reduces_alike_in_any_call_order(family, rank, level, make_rs):
+    """One batch reduced whole, as shuffled slices over many calls, again
+    once the memo holds it, and after unrelated calls: every way gives the
+    scalar reference's result.  A33 k3 and C7 k2 have multi-word keys."""
+    rng = np.random.default_rng(rank)
+    whole = FusionContext(make_rs(family, rank), level)
+    weights = _memo_batch(whole, rng)
+    signs = _assert_matches_reference(whole, weights)
+    assert (signs == 0).any() and (signs != 0).any()
+    assert whole._memo_keys.dtype.kind == ("V" if rank > 6 else "i")
+    expect = alcove_reduce_many(whole, weights)
+
+    def same(ctx, rows):
+        got = alcove_reduce_many(ctx, weights[rows])
+        assert (got[0] == expect[0][rows]).all()
+        live = rows[got[0] != 0]
+        assert (got[1][got[0] != 0] == expect[1][live]).all()
+
+    sliced = FusionContext(make_rs(family, rank), level)
+    order = rng.permutation(len(weights))
+    for rows in np.array_split(order, 9):
+        same(sliced, rows)
+    same(whole, np.arange(len(weights)))
+    other = FusionContext(make_rs(family, rank), level)
+    for _ in range(3):
+        alcove_reduce_many(other, _memo_batch(other, rng))
+    same(other, np.arange(len(weights)))
+    same(other, order)
+
+
+def test_memo_walks_each_box_point_once(make_rs, monkeypatch):
+    """A repeated batch walks no row; a cold C3 k3 check_conjecture walks
+    one row per distinct box point of all the rows it reduces."""
+    walk = fusion._walk
+    walked = [0]
+
+    def counting(ctx, mu):
+        walked[0] += len(mu)
+        return walk(ctx, mu)
+
+    monkeypatch.setattr(fusion, "_walk", counting)
+    ctx = FusionContext(make_rs("C", 4), 4)
+    weights = _memo_batch(ctx, np.random.default_rng(0))
+    alcove_reduce_many(ctx, weights)
+    assert 0 < walked[0] <= len(weights)
+    before = walked[0]
+    alcove_reduce_many(ctx, weights)
+    alcove_reduce_many(ctx, weights[::-1])
+    assert walked[0] == before
+
+    reduce = fusion.alcove_reduce_many
+    points = set()
+
+    def collecting(ctx, weights):
+        w = np.asarray(weights, dtype=np.int64)
+        box = (ctx.level + ctx.rs.dual_coxeter) * ctx.rs.coroot_lattice_index
+        q = (w[:, 1:] + 1) @ ctx._coroot_adj % box
+        points.update(map(tuple, q.tolist()))
+        return reduce(ctx, weights)
+
+    monkeypatch.setattr(fusion, "alcove_reduce_many", collecting)
+    walked[0] = 0
+    rep = check_conjecture(FusionContext(make_rs("C", 3), 3))
+    assert rep.ok
+    assert 0 < walked[0] == len(points)
+
+
+@pytest.mark.parametrize("row", [(4, -1, 0), (3, 1, 0)])
+def test_memo_keeps_no_walk_result_off_the_basis(row, make_rs, monkeypatch):
+    """A walked row with a negative label, or off the level, raises before
+    it enters the memo: once the walk is mended, the same call reduces like
+    the scalar reference."""
+    walk = fusion._walk
+
+    def corrupt_first(ctx, mu):
+        signs, mu = walk(ctx, mu)
+        mu[np.flatnonzero(signs)[0]] = np.array(row) + 1
+        return signs, mu
+
+    ctx = FusionContext(make_rs("A", 2), 3)
+    weights = _memo_batch(ctx, np.random.default_rng(1))
+    monkeypatch.setattr(fusion, "_walk", corrupt_first)
+    with pytest.raises(AssertionError, match="left the level-k basis"):
+        alcove_reduce_many(ctx, weights)
+    monkeypatch.setattr(fusion, "_walk", walk)
+    _assert_matches_reference(ctx, weights)
 
 
 def test_reduction_int64_bound(make_ctx):

@@ -44,7 +44,9 @@ WEYL_ORDERS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(WEYL_ORDERS))
+@pytest.mark.parametrize(
+    "key", sorted(WEYL_ORDERS), ids=lambda key: "-".join(map(str, key))
+)
 def test_weyl_group_order(key, make_rs):
     mats, signs = weyl_group(make_rs(*key))
     n = WEYL_ORDERS[key]
@@ -82,7 +84,9 @@ LEVI_COSETS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(LEVI_COSETS))
+@pytest.mark.parametrize(
+    "key", sorted(LEVI_COSETS), ids=lambda key: "-".join(map(str, key))
+)
 def test_levi_cosets(key, make_rs):
     rs = make_rs(*key)
     levi, J, mats, signs = _levi_cosets(rs)
