@@ -44,9 +44,7 @@ WEYL_ORDERS = {
 }
 
 
-@pytest.mark.parametrize(
-    "key", sorted(WEYL_ORDERS), ids=lambda key: "-".join(map(str, key))
-)
+@pytest.mark.parametrize("key", sorted(WEYL_ORDERS))
 def test_weyl_group_order(key, make_rs):
     mats, signs = weyl_group(make_rs(*key))
     n = WEYL_ORDERS[key]
