@@ -2,9 +2,12 @@
 
 A FusionContext fixes a root system and a level k.  Ring elements are
 integer combinations of the dominant affine weights of that level; products
-are evaluated exactly: tensor-product weights are pushed back into the
-fundamental alcove by shifted affine Weyl reflections, with signs, and the
-surviving terms accumulate integer coefficients.
+are evaluated exactly.  The Kac-Walton rule gives the rows of the
+fundamental fusion matrices: tensor-product weights are pushed back into
+the fundamental alcove by shifted affine Weyl reflections, with signs, and
+the surviving terms accumulate integer coefficients.  Every other basis
+product follows from those rows by an exact recursion over the basis in
+height order.
 """
 
 from __future__ import annotations
@@ -17,10 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 _REDUCE_CAP = 10**6
-# Rows per alcove_reduce_many call in basis_products.
+# Rows per alcove_reduce_many call when basis_products fills fundamental
+# matrix rows, and the float64 numbers of one partner chunk of its
+# recursion (more only when one partner alone needs more).
 _BATCH_ROWS = 2**16
 # Every int64 intermediate of alcove_reduce_many stays below this.
 _INT64_HEADROOM = 2**62
+# Integers below this add exactly in float64.
+_FLOAT_EXACT = 2**53
 _CACHE_DIM_RTOL = 1e-9
 
 
@@ -160,8 +167,8 @@ class FusionContext:
         self._cache_dir = cache_dir
         self._cache_dirty = False
         self._rank_offsets = _rank_offsets(rs.comarks, level)
-        # Basis indices in ascending order of the affine tuples.
-        self._affine_order = np.array(
+        # Each basis index's place in ascending order of the affine tuples.
+        self._affine_rank = np.argsort(
             sorted(range(len(self.basis)), key=self.basis.__getitem__)
         )
         # Integer data of alcove_reduce_many.  weight_bound keeps every int64
@@ -193,6 +200,8 @@ class FusionContext:
         self._memo_keys = np.empty(0, dtype=key)
         self._memo_codes = np.empty(0, dtype=np.int64)
         self._basis_rows = np.array(self.basis, dtype=np.int64)
+        # The fundamental generators, built by the first product computed.
+        self._generators = None
         if cache_dir:
             self._load_cache()
 
@@ -266,7 +275,7 @@ class FusionContext:
                 raise ValueError("array lengths disagree")
             owner = np.repeat(np.arange(len(pairs)), sizes)
             pair_keys = np.sort(key(pairs[:, 0], pairs[:, 1]))
-            place = owner * n + np.argsort(self._affine_order)[terms]
+            place = owner * n + self._affine_rank[terms]
             if (np.diff(pair_keys) == 0).any() or (np.diff(place) <= 0).any():
                 raise ValueError("repeated pair or term")
             dim = _quantum_dimensions(self, self.basis)
@@ -479,19 +488,9 @@ def _basis_indices(ctx, rows):
     return ctx._rank_offsets[np.arange(ctx.rs.rank), left, rows[:, 1:]].sum(axis=1)
 
 
-def reduced_terms_many(ctx, count, total, rows_at, budget):
-    """Terms dicts, each in ascending order, of count sums of signed alcove
-    reductions; this is the only way from rows to terms.
-
-    The rows are known by position: rows_at(p), for an int64 array p of
-    positions in [0, total), returns (owner, finite, mults), where row i adds
-    mults[i] * sign_i * V[reduced_i] into sum owner[i], finite is an
-    (len(p), rank) array of finite weights, each affinized to the context's
-    level, and mults None stands for all 1.  The positions go through
-    alcove_reduce_many in slices of at most budget rows, so a caller's sum
-    may be cut across calls: every row adds into its owner's row of one
-    (count, basis) table.
-    """
+def _reduced_table(ctx, count, total, rows_at, budget):
+    """The int64 (count, basis) table of count sums of signed alcove
+    reductions, by basis index; see reduced_terms_many for the arguments."""
     table = np.zeros((count, len(ctx.basis)), dtype=np.int64)
     for start in range(0, total, budget):
         owner, finite, mults = rows_at(np.arange(start, min(start + budget, total)))
@@ -503,61 +502,258 @@ def reduced_terms_many(ctx, count, total, rows_at, budget):
         live = np.flatnonzero(signs)
         idx = _basis_indices(ctx, reduced[live])
         np.add.at(table, (owner[live], idx), signs[live])
-    # Terms in ascending order: columns in affine order, row-major nonzeros.
-    table = table[:, ctx._affine_order]
+    return table
+
+
+def _table_terms(ctx, table):
+    """Terms dicts, each in ascending order, of the rows of a (count, basis)
+    table of integers, int or float: each row's nonzeros in affine order."""
     owner, col = np.nonzero(table)
-    ends = np.cumsum(np.bincount(owner, minlength=count)).tolist()
-    labels = [ctx.basis[j] for j in ctx._affine_order[col].tolist()]
-    coeffs = table[owner, col].tolist()
+    order = np.argsort(owner * len(ctx.basis) + ctx._affine_rank[col], kind="stable")
+    owner, col = owner[order], col[order]
+    ends = np.cumsum(np.bincount(owner, minlength=len(table))).tolist()
+    labels = [ctx.basis[j] for j in col.tolist()]
+    coeffs = table[owner, col].astype(np.int64).tolist()
     return [dict(zip(labels[s:e], coeffs[s:e])) for s, e in zip([0] + ends, ends)]
+
+
+def reduced_terms_many(ctx, count, total, rows_at, budget):
+    """Terms dicts, each in ascending order, of count sums of signed alcove
+    reductions; with basis_products, the only way from rows to terms.
+
+    The rows are known by position: rows_at(p), for an int64 array p of
+    positions in [0, total), returns (owner, finite, mults), where row i adds
+    mults[i] * sign_i * V[reduced_i] into sum owner[i], finite is an
+    (len(p), rank) array of finite weights, each affinized to the context's
+    level, and mults None stands for all 1.  The positions go through
+    alcove_reduce_many in slices of at most budget rows, so a caller's sum
+    may be cut across calls: every row adds into its owner's row of one
+    (count, basis) table.
+    """
+    return _table_terms(ctx, _reduced_table(ctx, count, total, rows_at, budget))
+
+
+def _kac_walton_table(ctx, small, big):
+    """Int64 (len(big), basis) table whose row j holds V[small] V[big[j]] by
+    the Kac-Walton rule: the weight system of the finite weight small,
+    shifted by the finite weight big[j], alcove-reduced with signs and
+    multiplicities, in slices of _BATCH_ROWS rows."""
+    ws = ctx.rs.weight_multiplicities(small)
+    big = np.asarray(big, dtype=np.int64)
+    d = len(ws.mults)
+
+    def rows_at(p):
+        j, i = np.divmod(p, d)
+        return j, big[j] + ws.weights[i], ws.mults[i]
+
+    return _reduced_table(ctx, len(big), len(big) * d, rows_at, _BATCH_ROWS)
+
+
+class _Generators:
+    """The presentation of a context's fusion ring by its fundamental
+    generators, built by the first product the context computes.
+
+    The basis is ordered by height, the sum of simple-root coordinates,
+    scaled by the Cartan determinant to an integer.  A weight la other than
+    0 has first[la], its first vertex i (0-based) with la_i > 0, and
+    prev[la], the basis index of la - omega_i; then
+    V[omega_i] V[prev] = V[la] + sum over lower nu of c_nu V[nu].  Row kappa
+    of N_i, the matrix of multiplication by V[omega_i], holds the terms of
+    V[omega_i] V[kappa]; rows are filled on demand, and slot[i, kappa] is
+    the row's place in rows[i] (int8, or int16 once a coefficient needs it),
+    or -1.
+    """
+
+    def __init__(self, ctx):
+        rs = ctx.rs
+        n, r = len(ctx.basis), rs.rank
+        scale = [
+            int(rs.cartan_det * sum(rs.root_coordinates(rs.fundamental_weight(a))))
+            for a in range(1, r + 1)
+        ]
+        labels = ctx._basis_rows[:, 1:]
+        self.height = labels @ np.array(scale, dtype=np.int64)
+        self.order = np.argsort(self.height, kind="stable")
+        self.pos = np.argsort(self.order)
+        self.first = (labels > 0).argmax(axis=1)
+        step = ctx._basis_rows[1:].copy()
+        k, f = np.arange(n - 1), self.first[1:]
+        step[k, f + 1] -= 1
+        step[k, 0] += ctx._comarks[f + 1]
+        self.prev = np.concatenate(([0], _basis_indices(ctx, step)))
+        self.omega = [
+            ctx.basis_index.get(affinize(ctx, rs.fundamental_weight(a)))
+            for a in range(1, r + 1)
+        ]
+        self.slot = np.full((r, n), -1, dtype=np.int64)
+        self.rows = [np.zeros((0, n), dtype=np.int8) for _ in range(r)]
+        # Largest column sum plus largest row sum of each rows[i].
+        self.reach = [0] * r
+
+
+def _check_nonnegative(ctx, table, factors):
+    """Raise unless every row of a product table is non-negative; factors(j)
+    gives the basis indices of the two factors of row j."""
+    bad = np.flatnonzero(table.min(axis=1) < 0)
+    if bad.size:
+        la, mu = (ctx.basis[f] for f in factors(bad[0]))
+        result = _table_terms(ctx, table[bad[:1]])[0]
+        raise AssertionError(f"negative structure constant in {la} * {mu}: {result}")
+
+
+def _fill_fundamental(ctx, i, kappas):
+    """Fill rows kappas (basis indices) of N_i by Kac-Walton: each row must
+    be non-negative, and is stored exactly in int8 or int16."""
+    gen = ctx._generators
+    table = _kac_walton_table(
+        ctx, ctx.rs.fundamental_weight(i + 1), ctx._basis_rows[kappas, 1:]
+    )
+    _check_nonnegative(ctx, table, lambda j: (gen.omega[i], kappas[j]))
+    top = int(table.max(initial=0))
+    if top >= 2**15:
+        raise AssertionError(f"fusion coefficient {top} does not fit int16")
+    dtype = np.promote_types(gen.rows[i].dtype, np.int8 if top < 2**7 else np.int16)
+    gen.slot[i, kappas] = len(gen.rows[i]) + np.arange(len(kappas))
+    gen.rows[i] = np.concatenate((gen.rows[i].astype(dtype), table.astype(dtype)))
+    sums = [gen.rows[i].sum(axis=axis, dtype=np.int64).max() for axis in (0, 1)]
+    gen.reach[i] = int(sum(sums))
+
+
+def _fundamental_rows(ctx, i, kappas):
+    """Rows kappas of N_i, each of which must have been filled."""
+    slots = ctx._generators.slot[i, kappas]
+    if (slots < 0).any():
+        missing = ctx.basis[np.asarray(kappas)[slots < 0][0]]
+        raise AssertionError(f"row {missing} of fundamental matrix {i + 1} is not filled")
+    return ctx._generators.rows[i][slots]
+
+
+def _derived_products(ctx, keys):
+    """Terms dicts of the basis pairs keys, none with the unit, from the
+    fundamental matrices; see basis_products."""
+    if ctx._generators is None:
+        ctx._generators = _Generators(ctx)
+    gen = ctx._generators
+    n = len(ctx.basis)
+    a = np.array([ctx.basis_index[la] for la, _ in keys])
+    b = np.array([ctx.basis_index[mu] for _, mu in keys])
+    swap = gen.pos[a] > gen.pos[b]
+    lam, part = np.where(swap, b, a), np.where(swap, a, b)
+
+    # The closure D of the factors lam, from the top down: each la in D
+    # brings prev[la] and the other terms nu of V[omega_i] V[prev].
+    top = gen.height[lam].max() + gen.height[part].max()
+    in_d = [False] * n
+    for la in lam.tolist():
+        in_d[la] = True
+    order = gen.order.tolist()
+    filled, steps = set(), {}
+    for p in range(int(gen.pos[lam].max()), 0, -1):
+        la = order[p]
+        if not in_d[la]:
+            continue
+        i, pre = gen.first[la], gen.prev[la]
+        if i not in filled:
+            filled.add(i)
+            # Every row a step with this generator can gather: the terms of
+            # V[pre] V[u] lie at most at height h(la) - h(omega_i) + h(u).
+            within = gen.height <= top - gen.height[gen.omega[i]]
+            kappas = np.flatnonzero(within & (gen.slot[i] < 0))
+            if kappas.size:
+                _fill_fundamental(ctx, i, kappas)
+        row = _fundamental_rows(ctx, i, [pre])[0]
+        nu = np.flatnonzero(row)
+        omega, prev = ctx.basis[gen.omega[i]], ctx.basis[pre]
+        if row[la] != 1:
+            raise AssertionError(
+                f"{ctx.basis[la]} has coefficient {row[la]} in {omega} * {prev}"
+            )
+        nu = nu[nu != la]
+        late = nu[gen.pos[nu] > p]
+        if late.size:
+            raise AssertionError(
+                f"{ctx.basis[late[0]]} in {omega} * {prev} comes after {ctx.basis[la]}"
+            )
+        steps[la] = i, nu, row[nu].astype(np.float64)
+        in_d[pre] = True
+        for x in nu.tolist():
+            in_d[x] = True
+    # Every partial sum of a step is at most max|X| times this.
+    reach = max(gen.reach[i] for i in filled)
+
+    dl = np.array([la for la in order if in_d[la]])
+    drow = np.full(n, -1)
+    drow[dl] = np.arange(len(dl))
+    partners, pslot = np.unique(part, return_inverse=True)
+    by_partner = np.argsort(pslot, kind="stable")
+    bounds = np.searchsorted(pslot[by_partner], np.arange(len(partners) + 1))
+    chunk = max(1, _BATCH_ROWS // (len(dl) * n))
+    found = {}
+    for start in range(0, len(partners), chunk):
+        us = partners[start : start + chunk]
+        x = np.zeros((len(dl), len(us), n))
+        x[0, np.arange(len(us)), us] = 1
+        flat = x.reshape(len(dl), -1)
+        for d, la in enumerate(dl[1:].tolist(), 1):
+            i, nu, c = steps[la]
+            left = x[drow[gen.prev[la]]]
+            cols = np.flatnonzero(left.any(axis=0))
+            step = left[:, cols] @ _fundamental_rows(ctx, i, cols).astype(np.float64)
+            if nu.size:
+                step -= (c @ flat[drow[nu]]).reshape(step.shape)
+            x[d] = step
+        if np.abs(x).max() * reach >= _FLOAT_EXACT:
+            raise AssertionError("fusion coefficients too large for exact float64")
+        # A pair whose factors are both partners of this chunk and both in D
+        # was computed in both orders.
+        both = np.flatnonzero(drow[us] >= 0)
+        twice = x[drow[us[both]]][:, both]
+        if (twice != twice.transpose(1, 0, 2)).any():
+            raise AssertionError("a product differs between its two orders")
+        asked = by_partner[bounds[start] : bounds[start + len(us)]]
+        table = x[drow[lam[asked]], pslot[asked] - start]
+        _check_nonnegative(ctx, table, lambda j: (a[asked[j]], b[asked[j]]))
+        found.update(zip([keys[k] for k in asked.tolist()], _table_terms(ctx, table)))
+    return found
 
 
 def basis_products(ctx, pairs):
     """Terms dicts of the basis-pair products in pairs, in request order.
 
     This is the only way into the product table.  Pairs not in it yet are
-    computed first, each unordered pair once: pairs that share their
-    smaller factor (by Weyl dimension) form one group, whose rows, the
-    weights of the smaller factor shifted by every partner, go through
-    reduced_terms_many in slices of at most _BATCH_ROWS rows, one sum per
-    partner.  Each product's terms are stored in ascending order.
+    computed first, each unordered pair once, from the fundamental matrices
+    N_i of multiplication by V[omega_i], the presentation of the ring by its
+    fundamental generators (Gepner 1991).  Only rows of the N_i go through
+    Kac-Walton reduction, each once per context, as a call needs them.  With
+    the basis in height order, a pair's earlier factor la other than 0 has
+    its first vertex i with la_i > 0, and
+    V[la] = V[omega_i] V[la - omega_i] - sum of c_nu V[nu], every nu earlier
+    than la.  So for all partners u at once,
+    X[la] = X[la - omega_i] N_i - sum of c_nu X[nu], where X[la] holds the
+    products V[la] V[u], over the closure of the earlier factors in height
+    order, in float64 arithmetic checked to be exact, in partner chunks of
+    at most _BATCH_ROWS numbers.  Every check raises AssertionError before
+    anything is stored.  Only the requested pairs are stored, each with its
+    terms in ascending order.
     """
-    rs = ctx.rs
     products = ctx._products
     keys = [(la, mu) if la <= mu else (mu, la) for la, mu in pairs]
-    groups = {}
+    new, missing = {}, []
     for key in dict.fromkeys(keys):
         if key in products:
             continue
         la, mu = key
         if la == ctx.unit_weight:
-            products[key] = {mu: 1}
+            new[key] = {mu: 1}
         elif mu == ctx.unit_weight:
-            products[key] = {la: 1}
+            new[key] = {la: 1}
         else:
-            fa, fb = la[1:], mu[1:]
-            if rs.weyl_dimension(fa) <= rs.weyl_dimension(fb):
-                groups.setdefault(fa, {})[key] = fb
-            else:
-                groups.setdefault(fb, {})[key] = fa
+            missing.append(key)
+    if missing:
+        new.update(_derived_products(ctx, missing))
+    if new:
+        products.update(new)
         ctx._cache_dirty = True
-
-    for small, partners in groups.items():
-        ws = rs.weight_multiplicities(small)
-        big = np.array(list(partners.values()), dtype=np.int64)
-        d = len(ws.mults)
-
-        def rows_at(p):
-            j, i = np.divmod(p, d)
-            return j, big[j] + ws.weights[i], ws.mults[i]
-
-        found = reduced_terms_many(ctx, len(big), len(big) * d, rows_at, _BATCH_ROWS)
-        for (la, mu), result in zip(partners, found):
-            if min(result.values(), default=0) < 0:
-                raise AssertionError(
-                    f"negative structure constant in {la} * {mu}: {result}"
-                )
-            products[(la, mu)] = result
     return [products[key] for key in keys]
 
 

@@ -30,6 +30,7 @@ from fusionq import (
     kr_element,
 )
 from fusionq import fusion
+from fusionq.cli import main
 
 BASIS_SIZES = {
     ("A", 1, 2): 3,
@@ -49,7 +50,9 @@ BASIS_SIZES = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(BASIS_SIZES))
+@pytest.mark.parametrize(
+    "key", sorted(BASIS_SIZES), ids=lambda key: "-".join(map(str, key))
+)
 def test_basis_sizes(key, make_ctx):
     ctx = make_ctx(*key)
     assert len(ctx.basis) == BASIS_SIZES[key]
@@ -439,9 +442,10 @@ def _all_pairs(ctx):
 def test_basis_products_match_scalar_reference(
     family, rank, level, make_rs, monkeypatch
 ):
-    """Every basis pair at once (one batch per smaller factor) and one pair
-    at a time agree with scalar reduction; terms are stored in ascending
-    order, and once every pair is known no product reduces anything."""
+    """Every basis pair at once (one derivation from the fundamental
+    matrices) and one pair at a time agree with scalar reduction; terms are
+    stored in ascending order, and once every pair is known no product
+    reduces anything."""
     batched = FusionContext(make_rs(family, rank), level)
     single = FusionContext(make_rs(family, rank), level)
     pairs = _all_pairs(batched)
@@ -489,7 +493,8 @@ def test_reduced_rows_find_their_basis_index(family, rank, level, make_ctx):
 
 
 def test_products_at_high_rank_match_scalar_reference(make_ctx):
-    """A33 k3: 2 omega_1 and the unit would share a wrapped radix-4 key."""
+    """A33 k3: 2 omega_1 and the unit would share a wrapped radix-4 key.  In
+    fresh contexts, the derived pairs equal the Kac-Walton reference."""
     ctx = make_ctx("A", 33, 3)
     w1 = affinize(ctx, (1,) + (0,) * 32)
     w2 = affinize(ctx, (2,) + (0,) * 32)
@@ -497,6 +502,10 @@ def test_products_at_high_rank_match_scalar_reference(make_ctx):
     assert _scalar_product(ctx, w1, w1) == expect
     assert fusion_product(ctx, w1, w1) == expect
     assert fusion_product(ctx, w1, w2) == _scalar_product(ctx, w1, w2)
+    keys = [(w1, w1), (w1, w2)]
+    ref = _kac_walton_products(FusionContext(ctx.rs, 3), keys)
+    found = fusion.basis_products(FusionContext(ctx.rs, 3), keys)
+    assert [list(t.items()) for t in found] == [list(ref[k].items()) for k in keys]
 
 
 @pytest.mark.parametrize("rows", [1, 3, 20])
@@ -504,8 +513,9 @@ def test_products_at_high_rank_match_scalar_reference(make_ctx):
 def test_basis_products_in_small_chunks(
     family, rank, level, rows, make_rs, monkeypatch
 ):
-    """A row budget of a few rows splits every group into many chunks, some
-    cutting through one partner's weights, without changing any product."""
+    """A budget of a few rows splits every fundamental row fill into many
+    reductions, some cutting through one row's weights, and the recursion
+    into one-partner chunks, without changing any product."""
     full = FusionContext(make_rs(family, rank), level)
     fusion.basis_products(full, _all_pairs(full))
     monkeypatch.setattr(fusion, "_BATCH_ROWS", rows)
@@ -514,6 +524,137 @@ def test_basis_products_in_small_chunks(
     assert chunked._products == full._products
     for key, terms in full._products.items():
         assert list(chunked._products[key]) == list(terms)
+
+
+def _kac_walton_products(ctx, keys):
+    """Terms of the basis pairs keys by the Kac-Walton reference, one table
+    per smaller factor (by Weyl dimension), keyed like keys."""
+    rs = ctx.rs
+    groups = {}
+    for la, mu in keys:
+        if rs.weyl_dimension(la[1:]) > rs.weyl_dimension(mu[1:]):
+            groups.setdefault(mu, []).append(((la, mu), la))
+        else:
+            groups.setdefault(la, []).append(((la, mu), mu))
+    out = {}
+    for small, members in groups.items():
+        big = [b[1:] for _, b in members]
+        table = fusion._kac_walton_table(ctx, small[1:], big)
+        for (key, _), terms in zip(members, fusion._table_terms(ctx, table)):
+            out[key] = terms
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,rank,level",
+    [("A", 2, 3), ("B", 4, 3), ("C", 4, 4), ("G", 2, 5), ("F", 4, 3), ("E", 7, 3)],
+)
+def test_basis_products_match_kac_walton(family, rank, level, make_rs):
+    """Every unordered pair, derived from the fundamental matrices in one
+    call in a fresh context, equals the Kac-Walton reference, terms in the
+    same ascending order."""
+    rs = make_rs(family, rank)
+    ctx = FusionContext(rs, level)
+    keys = [(la, mu) for i, la in enumerate(ctx.basis) for mu in ctx.basis[i:]]
+    found = fusion.basis_products(ctx, keys)
+    expect = _kac_walton_products(FusionContext(rs, level), keys)
+    for key, terms in zip(keys, found):
+        assert list(terms.items()) == list(expect[key].items()), key
+
+
+@pytest.mark.parametrize("family,rank,level", [("A", 3, 3), ("C", 3, 2), ("G", 2, 3)])
+def test_one_pair_per_call_matches_the_whole_table(family, rank, level, make_rs):
+    """Asking for one pair per call, in shuffled order, fills the same table,
+    terms in the same order, as one call over every pair."""
+    rs = make_rs(family, rank)
+    whole = FusionContext(rs, level)
+    fusion.basis_products(whole, _all_pairs(whole))
+    single = FusionContext(rs, level)
+    pairs = _all_pairs(single)
+    for k in np.random.default_rng(3).permutation(len(pairs)):
+        fusion.basis_products(single, [pairs[k]])
+    assert single._products == whole._products
+    for key, terms in whole._products.items():
+        assert list(single._products[key]) == list(terms)
+
+
+# Faults in fundamental rows of A2 k3: (row kappa, term added) of N_1 for
+# the kinds that corrupt a row, and the message each raises.
+FUNDAMENTAL_FAULTS = {
+    "coefficient-2": ((0, 0), (1, 0), "has coefficient 2 in"),
+    "term-after": ((0, 0), (3, 0), "comes after"),
+    "unfilled-row": (None, None, "is not filled"),
+    "lower-term": ((1, 0), (0, 0), "negative structure constant"),
+    "lower-term-every-pair": ((1, 0), (0, 0), "differs between its two orders"),
+}
+
+
+@pytest.mark.parametrize("fault", list(FUNDAMENTAL_FAULTS))
+def test_fundamental_row_faults_store_nothing(fault, make_rs, monkeypatch):
+    """Each fault raises, and the call stores no product, not even its unit
+    pair.  V[omega_1] V[0] with coefficient 2 or with a term after omega_1,
+    or a gathered row that the fill skipped, fail on omega_1 * 3 omega_1.
+    An extra V[0] in V[omega_1] V[omega_1] makes V[2 omega_1] V[3 omega_1]
+    negative; over every pair, it makes 2 omega_1 * omega_1 differ from
+    omega_1 * 2 omega_1 first."""
+    ctx = FusionContext(make_rs("A", 2), 3)
+    kappa, term, match = FUNDAMENTAL_FAULTS[fault]
+    table, fill = fusion._kac_walton_table, fusion._fill_fundamental
+    top = affinize(ctx, (3, 0))
+    la = affinize(ctx, (2, 0) if fault.startswith("lower-term") else (1, 0))
+
+    def corrupt(ctx, small, big):
+        out = table(ctx, small, big)
+        if tuple(small) == (1, 0):
+            row = (np.asarray(big) == kappa).all(axis=1)
+            out[row, ctx.basis_index[affinize(ctx, term)]] += 1
+        return out
+
+    def skipping(ctx, i, kappas):
+        fill(ctx, i, kappas[kappas != ctx.basis_index[top]])
+
+    if fault == "unfilled-row":
+        monkeypatch.setattr(fusion, "_fill_fundamental", skipping)
+    else:
+        monkeypatch.setattr(fusion, "_kac_walton_table", corrupt)
+    pairs = [(ctx.unit_weight, la), (la, top)]
+    if fault == "lower-term-every-pair":
+        pairs = _all_pairs(ctx)
+    with pytest.raises(AssertionError, match=match):
+        fusion.basis_products(ctx, pairs)
+    assert not ctx._products
+
+
+def test_float_bound_is_checked_before_storing(make_rs, monkeypatch):
+    """With the float64 exactness bound lowered below the A2 k3 partial
+    sums, the derivation raises and stores nothing."""
+    monkeypatch.setattr(fusion, "_FLOAT_EXACT", 8)
+    ctx = FusionContext(make_rs("A", 2), 3)
+    with pytest.raises(AssertionError, match="too large for exact float64"):
+        fusion.basis_products(ctx, _all_pairs(ctx))
+    assert not ctx._products
+
+
+def test_cache_bytes_match_the_kac_walton_reference(
+    tmp_path, make_rs, monkeypatch, capsys
+):
+    """save_cache writes the same bytes after the derived products as after
+    the Kac-Walton reference: for every pair of A3 k3, and for the pairs
+    that a cold verify C3 k3 stores."""
+    written = []
+    for derive in (fusion._derived_products, _kac_walton_products):
+        monkeypatch.setattr(fusion, "_derived_products", derive)
+        ring = FusionContext(make_rs("A", 3), 3, cache_dir=str(tmp_path / "ring"))
+        fusion.basis_products(ring, _all_pairs(ring))
+        ring.save_cache()
+        cache = tmp_path / f"verify-{len(written)}"
+        monkeypatch.setenv("FUSIONQ_CACHE_DIR", str(cache))
+        main(["verify", "--family", "C", "--rank", "3", "--level", "3"])
+        report = capsys.readouterr().out
+        files = [tmp_path / "ring" / "fusionq-A3-k3.json", cache / "fusionq-C3-k3.json"]
+        written.append([report] + [path.read_bytes() for path in files])
+        files[0].unlink()
+    assert written[0] == written[1]
 
 
 def test_product_of_sums_is_sum_of_basis_products(make_rs):
@@ -561,26 +702,20 @@ def test_reduced_row_off_the_basis_is_an_error(row, make_rs, monkeypatch):
         fusion_product(ctx, (2, 1, 0), (2, 0, 1))
 
 
-def test_basis_products_peak_memory_follows_the_row_budget(make_rs, monkeypatch):
-    """One group of 26,691 rows under a 4,096-row budget: the tracemalloc
-    peak stays below eight int64 copies of the budget's rows plus 1 MiB,
-    where reducing the group in one call would take about 7.7 MB."""
-    rs = make_rs("A", 4)
-    ctx = FusionContext(rs, 5)
-    small = affinize(ctx, (0, 0, 5, 0))
-    dim = rs.weyl_dimension(small[1:])
-    pairs = [(small, mu) for mu in ctx.basis[1:] if rs.weyl_dimension(mu[1:]) >= dim]
-    rows = len(rs.weight_multiplicities(small[1:]).mults) * len(pairs)
-    monkeypatch.setattr(fusion, "_BATCH_ROWS", 4096)
-    assert rows > 6 * fusion._BATCH_ROWS
+def test_basis_products_peak_memory_follows_the_row_budget(make_rs):
+    """The whole A4 k5 table (15,876 ordered pairs, 8,001 stored): the
+    tracemalloc peak, stored products included, stays below 8 MiB, where
+    one partner block over all 126 partners would alone take 16 MB."""
+    ctx = FusionContext(make_rs("A", 4), 5)
+    pairs = _all_pairs(ctx)
     tracemalloc.start()
     try:
         fusion.basis_products(ctx, pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ctx._products) == len(pairs)
-    assert peak < fusion._BATCH_ROWS * 8 * 8 * (rs.rank + 1) + 2**20
+    assert len(ctx._products) == 126 * 127 // 2
+    assert peak < 8 * 2**20
 
 
 _A2K3 = None
