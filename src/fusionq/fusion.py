@@ -20,10 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 _REDUCE_CAP = 10**6
-# Rows per alcove_reduce_many call when basis_products fills fundamental
-# matrix rows, and the float64 numbers of one partner chunk of its
-# recursion (more only when one partner alone needs more).
-_BATCH_ROWS = 2**16
+# Rows per alcove_reduce_many call of the reduction driver.  The context's
+# memo walks each box point once whatever the call size, so this bounds
+# only memory: filling C4 k4 vertex 3 in one call peaks near 41 MB under
+# tracemalloc, against 1.6 MB at this size.
+_REDUCE_ROWS = 2**12
+# Float64 numbers of one partner chunk of basis_products' recursion (more
+# only when one partner alone needs more).
+_CHUNK_NUMBERS = 2**16
 # Every int64 intermediate of alcove_reduce_many stays below this.
 _INT64_HEADROOM = 2**62
 # Integers below this add exactly in float64.
@@ -380,9 +384,9 @@ def alcove_reduce(ctx, w, policy="first"):
 def alcove_reduce_many(ctx, weights):
     """Reduce a batch of level-k affine weights to the fundamental alcove.
 
-    weights is an (N, rank+1) integer array.  Returns (signs, reduced): N
-    int64 signs and an (N, rank+1) int64 array, row by row what
-    alcove_reduce returns (a row whose sign is 0 holds no weight).
+    weights is an (N, rank+1) integer array.  Returns (signs, idx): N int64
+    signs and N int64 basis indices, row by row what alcove_reduce returns
+    (ctx.basis[idx] is the reduced weight; idx is -1 where the sign is 0).
 
     Works on the shifted weights mu = w + rho.  The shifted affine Weyl
     group is W extended by the translations kappa Q-vee (kappa = k + h-vee),
@@ -441,18 +445,12 @@ def alcove_reduce_many(ctx, weights):
         live = np.flatnonzero(signs)
         signs[live] *= _basis_indices(ctx, mu[live] - 1) + 1
         codes[miss] = signs[inverse]
-        # Merge: the new keys go where searchsorted puts them, shifted by
-        # the new keys before them; the known keys fill the rest in order.
-        place = np.searchsorted(known, new) + np.arange(len(new))
-        taken = np.zeros(len(known) + len(new), dtype=bool)
-        taken[place] = True
-        merged = []
-        for old, add in ((known, new), (ctx._memo_codes, signs)):
-            out = np.empty(len(taken), dtype=old.dtype)
-            out[place], out[~taken] = add, old
-            merged.append(out)
-        ctx._memo_keys, ctx._memo_codes = merged
-    return np.sign(codes), ctx._basis_rows[np.abs(codes) - 1]
+        # The new keys are disjoint from the known ones.
+        keys = np.concatenate((known, new))
+        order = np.argsort(keys, kind="stable")
+        ctx._memo_keys = keys[order]
+        ctx._memo_codes = np.concatenate((ctx._memo_codes, signs))[order]
+    return np.sign(codes), np.abs(codes) - 1
 
 
 def _walk(ctx, mu):
@@ -488,20 +486,20 @@ def _basis_indices(ctx, rows):
     return ctx._rank_offsets[np.arange(ctx.rs.rank), left, rows[:, 1:]].sum(axis=1)
 
 
-def _reduced_table(ctx, count, total, rows_at, budget):
+def _reduced_table(ctx, count, total, rows_at):
     """The int64 (count, basis) table of count sums of signed alcove
-    reductions, by basis index; see reduced_terms_many for the arguments."""
+    reductions, by basis index; see reduced_terms_many for the arguments.
+    A row with sign 0 adds 0 into the last column."""
     table = np.zeros((count, len(ctx.basis)), dtype=np.int64)
-    for start in range(0, total, budget):
-        owner, finite, mults = rows_at(np.arange(start, min(start + budget, total)))
+    for start in range(0, total, _REDUCE_ROWS):
+        p = np.arange(start, min(start + _REDUCE_ROWS, total))
+        owner, finite, mults = rows_at(p)
         fin = np.asarray(finite, dtype=np.int64)
         weights = np.column_stack((ctx.level - fin @ ctx._comarks[1:], fin))
-        signs, reduced = alcove_reduce_many(ctx, weights)
+        signs, idx = alcove_reduce_many(ctx, weights)
         if mults is not None:
             signs *= mults
-        live = np.flatnonzero(signs)
-        idx = _basis_indices(ctx, reduced[live])
-        np.add.at(table, (owner[live], idx), signs[live])
+        np.add.at(table, (owner, idx), signs)
     return table
 
 
@@ -517,7 +515,7 @@ def _table_terms(ctx, table):
     return [dict(zip(labels[s:e], coeffs[s:e])) for s, e in zip([0] + ends, ends)]
 
 
-def reduced_terms_many(ctx, count, total, rows_at, budget):
+def reduced_terms_many(ctx, count, total, rows_at):
     """Terms dicts, each in ascending order, of count sums of signed alcove
     reductions; with basis_products, the only way from rows to terms.
 
@@ -526,18 +524,18 @@ def reduced_terms_many(ctx, count, total, rows_at, budget):
     mults[i] * sign_i * V[reduced_i] into sum owner[i], finite is an
     (len(p), rank) array of finite weights, each affinized to the context's
     level, and mults None stands for all 1.  The positions go through
-    alcove_reduce_many in slices of at most budget rows, so a caller's sum
-    may be cut across calls: every row adds into its owner's row of one
+    alcove_reduce_many in slices of at most _REDUCE_ROWS rows, so a caller's
+    sum may be cut across calls: every row adds into its owner's row of one
     (count, basis) table.
     """
-    return _table_terms(ctx, _reduced_table(ctx, count, total, rows_at, budget))
+    return _table_terms(ctx, _reduced_table(ctx, count, total, rows_at))
 
 
 def _kac_walton_table(ctx, small, big):
     """Int64 (len(big), basis) table whose row j holds V[small] V[big[j]] by
     the Kac-Walton rule: the weight system of the finite weight small,
     shifted by the finite weight big[j], alcove-reduced with signs and
-    multiplicities, in slices of _BATCH_ROWS rows."""
+    multiplicities."""
     ws = ctx.rs.weight_multiplicities(small)
     big = np.asarray(big, dtype=np.int64)
     d = len(ws.mults)
@@ -546,7 +544,7 @@ def _kac_walton_table(ctx, small, big):
         j, i = np.divmod(p, d)
         return j, big[j] + ws.weights[i], ws.mults[i]
 
-    return _reduced_table(ctx, len(big), len(big) * d, rows_at, _BATCH_ROWS)
+    return _reduced_table(ctx, len(big), len(big) * d, rows_at)
 
 
 class _Generators:
@@ -687,7 +685,7 @@ def _derived_products(ctx, keys):
     partners, pslot = np.unique(part, return_inverse=True)
     by_partner = np.argsort(pslot, kind="stable")
     bounds = np.searchsorted(pslot[by_partner], np.arange(len(partners) + 1))
-    chunk = max(1, _BATCH_ROWS // (len(dl) * n))
+    chunk = max(1, _CHUNK_NUMBERS // (len(dl) * n))
     found = {}
     for start in range(0, len(partners), chunk):
         us = partners[start : start + chunk]
@@ -732,7 +730,7 @@ def basis_products(ctx, pairs):
     X[la] = X[la - omega_i] N_i - sum of c_nu X[nu], where X[la] holds the
     products V[la] V[u], over the closure of the earlier factors in height
     order, in float64 arithmetic checked to be exact, in partner chunks of
-    at most _BATCH_ROWS numbers.  Every check raises AssertionError before
+    at most _CHUNK_NUMBERS numbers.  Every check raises AssertionError before
     anything is stored.  Only the requested pairs are stored, each with its
     terms in ascending order.
     """
@@ -800,11 +798,6 @@ def apply_outer(ctx, perm, u):
     if fusion_product(ctx, ctx.basis_element(current), u) != relabeled:
         raise AssertionError("outer automorphism disagrees with its simple current")
     return relabeled
-
-
-def quantum_dimension(ctx, w):
-    """Sine-product quantum dimension of one basis weight (a float)."""
-    return float(_quantum_dimensions(ctx, [w])[0])
 
 
 def _quantum_dimensions(ctx, weights):

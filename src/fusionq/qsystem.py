@@ -29,11 +29,6 @@ from .smatrix import qdim_table
 
 # Strictness margin of the positivity and monotonicity items in kns_report.
 _MARGIN = 1e-10
-# Rows per alcove reduction call when WGrid fills a column.  The context's
-# memo walks each box point once whatever the call size, so this bounds only
-# memory: filling C4 k4 vertex 3 in one call peaks near 41 MB under
-# tracemalloc, against 1.6 MB at this size.
-_FILL_ROWS = 2**12
 
 
 class KRDataUnavailableError(ValueError):
@@ -122,12 +117,10 @@ def kr_classical_components(rs, a, m):
 
 
 def kr_element(ctx, a, m):
-    """Fusion-ring image of the classical character of one KR module, in
-    one alcove reduction call."""
+    """Fusion-ring image of the classical character of one KR module."""
     comps = kr_classical_components(ctx.rs, a, m)
-    n = len(comps)
     (terms,) = reduced_terms_many(
-        ctx, 1, n, lambda p: (np.zeros_like(p), comps[p], None), n
+        ctx, 1, len(comps), lambda p: (np.zeros_like(p), comps[p], None)
     )
     return FusionElement(terms)
 
@@ -180,9 +173,8 @@ class WGrid:
 
     def fill(self, a, top):
         """Build every missing W_m of vertex a with m <= top, from one draw
-        of the column.  The modules' rows, in order of m, go through the
-        alcove reduction in slices of at most _FILL_ROWS rows: a whole
-        column in one call would hold every row at once."""
+        of the column.  The modules' rows, in order of m, go through one
+        reduced_terms_many call, which may cut a module across slices."""
         missing = [m for m in range(top + 1) if (a, m) not in self._elems]
         if not missing:
             return
@@ -200,8 +192,7 @@ class WGrid:
             fin[:, a - 1] = ms[j] - step * totals[idx]
             return j, fin, None
 
-        total = int(ends[-1])
-        found = reduced_terms_many(self.ctx, len(ms), total, rows_at, _FILL_ROWS)
+        found = reduced_terms_many(self.ctx, len(ms), int(ends[-1]), rows_at)
         for m, terms in zip(missing, found):
             self._elems[a, m] = FusionElement(terms)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import build_root_system
-from .fusion import FusionElement, quantum_dimension
+from .fusion import FusionElement
 
 _WEYL_RANK_CAP = 6
 # Working-set budget for one block of cosets or of determinant rows.
@@ -282,13 +282,6 @@ def verlinde_matrix(sm, resid_tol=1e-6):
             f"Verlinde tensor residual {resid:.3e} exceeds {resid_tol}"
         )
     return out, resid
-
-
-def element_quantum_dimension(ctx, u):
-    """Quantum dimension extended linearly to ring elements."""
-    if not isinstance(u, FusionElement):
-        u = ctx.basis_element(u)
-    return sum(c * quantum_dimension(ctx, w) for w, c in u.terms.items())
 
 
 def qdim_table(sm, elems):

@@ -23,11 +23,11 @@ from fusionq import (
     check_conjecture,
     boundary_check,
     conjugate,
-    element_quantum_dimension,
     fusion_product,
     kns_report,
     kr_classical_components,
     kr_element,
+    qdim_table,
     restricted_solution,
     smatrix_entry,
     verify_beta_chain,
@@ -383,8 +383,10 @@ def test_criterion_09_beta_chains(make_rs):
     print(f"CRITERION 9 (beta chains, {total} vertices): PASS in {elapsed:.2f}s")
 
 
-def test_criterion_10_admissibility(make_ctx):
+def test_criterion_10_admissibility(make_ctx, make_sm):
     ctx, grid = case_grid(make_ctx, "D", 4, 2)
+    sm = make_sm("D", 4, 2)
+    unit = sm.index(ctx.unit_weight)
     sol = restricted_solution(ctx, grid=grid)
     for a in (1, 2, 3, 4):
         top = ctx.rs.t[a - 1] * 2
@@ -393,7 +395,7 @@ def test_criterion_10_admissibility(make_ctx):
             assert A.dtype == np.int64
             assert np.all(A >= 0), (a, m)
             pf = max(abs(np.linalg.eigvals(A.astype(np.float64))))
-            qd = element_quantum_dimension(ctx, sol.get(a, m))
+            qd = qdim_table(sm, [sol.get(a, m)])[0, unit]
             assert abs(pf - qd) < 1e-8, (a, m)
     # exceptional non-minuscule grids are out of scope, reported as such
     with pytest.raises(KRDataUnavailableError):

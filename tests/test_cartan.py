@@ -54,7 +54,9 @@ NUMBERS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(CARTAN))
+@pytest.mark.parametrize(
+    "key", sorted(CARTAN), ids=lambda key: "-".join(map(str, key))
+)
 def test_cartan_matrix(key, make_rs):
     rs = make_rs(*key)
     assert rs.cartan == CARTAN[key]

@@ -145,16 +145,16 @@ REDUCE_ALGEBRAS = (
 
 
 def _assert_matches_reference(ctx, weights):
-    """alcove_reduce_many agrees with alcove_reduce on every row."""
-    signs, reduced = alcove_reduce_many(ctx, weights)
-    assert signs.shape == (len(weights),)
-    assert reduced.shape == (len(weights), ctx.rs.rank + 1)
-    assert signs.dtype == reduced.dtype == np.int64
-    for w, sign, red in zip(weights, signs.tolist(), reduced.tolist()):
+    """alcove_reduce_many agrees with alcove_reduce on every row: the basis
+    weight at each index is the reference's, and a row on a wall has
+    index -1."""
+    signs, idx = alcove_reduce_many(ctx, weights)
+    assert signs.shape == idx.shape == (len(weights),)
+    assert signs.dtype == idx.dtype == np.int64
+    for w, sign, i in zip(weights, signs.tolist(), idx.tolist()):
         ref = alcove_reduce(ctx, tuple(w))
         assert sign == ref.sign, w
-        if sign:
-            assert tuple(red) == ref.weight, w
+        assert i == (ctx.basis_index[ref.weight] if sign else -1), w
     return signs
 
 
@@ -215,8 +215,8 @@ def test_alcove_reduce_many_batch_shapes(n, make_ctx):
     ctx = make_ctx("B", 3, 3)
     rows = [affinize(ctx, (i - 3, 5 * i, -2 * i)) for i in range(n)]
     _assert_matches_reference(ctx, rows)
-    signs, reduced = alcove_reduce_many(ctx, np.array(rows, dtype=np.int64))
-    assert signs.shape == (n,) and reduced.shape == (n, 4)
+    signs, idx = alcove_reduce_many(ctx, np.array(rows, dtype=np.int64))
+    assert signs.shape == idx.shape == (n,)
 
 
 def test_alcove_reduce_many_validates_like_reference(make_ctx):
@@ -251,8 +251,8 @@ def test_reduction_cap_on_both_paths(make_rs, monkeypatch):
             with pytest.raises(ReductionLimitError):
                 alcove_reduce(ctx, w)
         if batched_ok:
-            signs, reduced = alcove_reduce_many(ctx, [w])
-            assert (signs[0], tuple(reduced[0].tolist())) == expect
+            signs, idx = alcove_reduce_many(ctx, [w])
+            assert (signs[0], ctx.basis[idx[0]]) == expect
         else:
             with pytest.raises(ReductionLimitError):
                 alcove_reduce_many(ctx, [w])
@@ -375,11 +375,11 @@ def test_reduction_int64_bound(make_ctx):
     # On A1 the translation by kappa alpha-vee adds 2 kappa = 6 to the
     # finite label, so the row reduces like the label mod 6.
     x = b - 1
-    signs, reduced = alcove_reduce_many(ctx, [(1 - x, x)])
+    signs, idx = alcove_reduce_many(ctx, [(1 - x, x)])
     ref = alcove_reduce(ctx, (1 - x % 6, x % 6))
     assert signs[0] == ref.sign
     if ref.sign:
-        assert tuple(reduced[0].tolist()) == ref.weight
+        assert ctx.basis[idx[0]] == ref.weight
     for row in [(1 - b, b), (1 + b, -b), (1 - 2**62, 2**62)]:
         with pytest.raises(ReductionOverflowError):
             alcove_reduce_many(ctx, [row])
@@ -487,7 +487,7 @@ def test_reduced_rows_find_their_basis_index(family, rank, level, make_ctx):
     tags = np.arange(1, len(finite) + 1)
     n = len(finite)
     (terms,) = fusion.reduced_terms_many(
-        ctx, 1, n, lambda p: (np.zeros_like(p), finite[p], tags[p]), n
+        ctx, 1, n, lambda p: (np.zeros_like(p), finite[p], tags[p])
     )
     assert terms == dict(zip(ctx.basis, tags.tolist()))
 
@@ -513,12 +513,14 @@ def test_products_at_high_rank_match_scalar_reference(make_ctx):
 def test_basis_products_in_small_chunks(
     family, rank, level, rows, make_rs, monkeypatch
 ):
-    """A budget of a few rows splits every fundamental row fill into many
-    reductions, some cutting through one row's weights, and the recursion
-    into one-partner chunks, without changing any product."""
+    """A few rows per reduction call split every fundamental row fill into
+    many reductions, some cutting through one row's weights, and as few
+    numbers per partner chunk split the recursion into one-partner chunks,
+    without changing any product."""
     full = FusionContext(make_rs(family, rank), level)
     fusion.basis_products(full, _all_pairs(full))
-    monkeypatch.setattr(fusion, "_BATCH_ROWS", rows)
+    monkeypatch.setattr(fusion, "_REDUCE_ROWS", rows)
+    monkeypatch.setattr(fusion, "_CHUNK_NUMBERS", rows)
     chunked = FusionContext(make_rs(family, rank), level)
     fusion.basis_products(chunked, _all_pairs(chunked))
     assert chunked._products == full._products
@@ -675,9 +677,9 @@ def test_negative_structure_constant_is_an_error(make_rs, monkeypatch):
     reduce = fusion.alcove_reduce_many
 
     def flip_first(ctx, weights):
-        signs, reduced = reduce(ctx, weights)
+        signs, idx = reduce(ctx, weights)
         signs[np.flatnonzero(signs)[0]] *= -1
-        return signs, reduced
+        return signs, idx
 
     monkeypatch.setattr(fusion, "alcove_reduce_many", flip_first)
     ctx = FusionContext(make_rs("A", 1), 2)
@@ -687,19 +689,23 @@ def test_negative_structure_constant_is_an_error(make_rs, monkeypatch):
 
 @pytest.mark.parametrize("row", [(4, -1, 0), (3, 1, 0)])
 def test_reduced_row_off_the_basis_is_an_error(row, make_rs, monkeypatch):
-    """A reduced row with a negative label, or off the level, has no basis
-    index: the product raises instead of counting it elsewhere."""
-    reduce = fusion.alcove_reduce_many
+    """A walked row with a negative label, or off the level, has no basis
+    index: the product raises instead of counting it elsewhere, and the
+    memo is left as it was."""
+    walk = fusion._walk
 
-    def corrupt_first(ctx, weights):
-        signs, reduced = reduce(ctx, weights)
-        reduced[np.flatnonzero(signs)[0]] = row
-        return signs, reduced
+    def corrupt_first(ctx, mu):
+        signs, mu = walk(ctx, mu)
+        mu[np.flatnonzero(signs)[0]] = np.array(row) + 1
+        return signs, mu
 
-    monkeypatch.setattr(fusion, "alcove_reduce_many", corrupt_first)
     ctx = FusionContext(make_rs("A", 2), 3)
+    alcove_reduce_many(ctx, [ctx.unit_weight])
+    keys, codes = ctx._memo_keys, ctx._memo_codes
+    monkeypatch.setattr(fusion, "_walk", corrupt_first)
     with pytest.raises(AssertionError, match="left the level-k basis"):
         fusion_product(ctx, (2, 1, 0), (2, 0, 1))
+    assert ctx._memo_keys is keys and ctx._memo_codes is codes
 
 
 def test_basis_products_peak_memory_follows_the_row_budget(make_rs):

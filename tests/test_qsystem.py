@@ -19,17 +19,17 @@ from fusionq import (
     check_unrestricted,
     conjugate,
     coupling_matrix,
-    element_quantum_dimension,
     kns_report,
     kr_classical_components,
     kr_element,
     open_index_set,
     period_multiplier,
+    qdim_table,
     restricted_solution,
     solve_f_system,
     supported_vertices,
 )
-from fusionq import qsystem
+from fusionq import fusion, qsystem
 
 # -- component multisets ------------------------------------------------------
 
@@ -273,8 +273,8 @@ def test_column_fill_peak_memory(make_ctx):
 @pytest.mark.parametrize("rows", [1, 7, 50])
 @pytest.mark.parametrize("family,rank,level", [("C", 3, 3), ("B", 3, 2), ("D", 5, 2)])
 def test_fills_cut_through_modules(family, rank, level, rows, make_ctx, monkeypatch):
-    """A row budget of a few rows cuts modules across reduction calls
-    without changing any W_m, and every terms dict comes back ascending."""
+    """A few rows per reduction call cut modules across calls without
+    changing any W_m, and every terms dict comes back ascending."""
     ctx = make_ctx(family, rank, level)
     full = WGrid(ctx)
     tops = {a: full.default_horizon(a) for a in full.vertices}
@@ -288,7 +288,7 @@ def test_fills_cut_through_modules(family, rank, level, rows, make_ctx, monkeypa
         found.extend(out)
         return out
 
-    monkeypatch.setattr(qsystem, "_FILL_ROWS", rows)
+    monkeypatch.setattr(fusion, "_REDUCE_ROWS", rows)
     monkeypatch.setattr(qsystem, "reduced_terms_many", record)
     chunked = WGrid(ctx)
     for a, top in tops.items():
@@ -455,12 +455,13 @@ def test_admissibility_small(make_ctx):
     assert np.all(top.sum(axis=0) == 1) and np.all(top.sum(axis=1) == 1)
 
 
-def test_admissibility_pf_eigenvalue(make_ctx):
-    ctx = make_ctx("A", 2, 2)
+def test_admissibility_pf_eigenvalue(make_sm):
+    sm = make_sm("A", 2, 2)
+    ctx = sm.ctx
     sol = restricted_solution(ctx)
     A = admissibility_matrix(ctx, 1, 1, solution=sol)
     pf = max(abs(np.linalg.eigvals(A.astype(float))))
-    qd = element_quantum_dimension(ctx, sol.get(1, 1))
+    qd = qdim_table(sm, [sol.get(1, 1)])[0, sm.index(ctx.unit_weight)]
     assert abs(pf - qd) < 1e-8
 
 
