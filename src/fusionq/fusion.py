@@ -755,21 +755,33 @@ def basis_products(ctx, pairs):
     return [products[key] for key in keys]
 
 
+def fusion_products(ctx, pairs):
+    """Ring products of element pairs (or bare basis weights), in order,
+    through one basis_products call over every pair of their terms."""
+    pairs = [
+        [u if isinstance(u, FusionElement) else ctx.basis_element(u) for u in pair]
+        for pair in pairs
+    ]
+    found = iter(
+        basis_products(
+            ctx, [(a, b) for u, v in pairs for a in u.terms for b in v.terms]
+        )
+    )
+    out = []
+    for u, v in pairs:
+        acc = {}
+        for ca in u.terms.values():
+            for cb in v.terms.values():
+                scale = ca * cb
+                for w, c in next(found).items():
+                    acc[w] = acc.get(w, 0) + scale * c
+        out.append(FusionElement(acc))
+    return out
+
+
 def fusion_product(ctx, u, v):
     """Ring product of two elements (or bare basis weights)."""
-    if not isinstance(u, FusionElement):
-        u = ctx.basis_element(u)
-    if not isinstance(v, FusionElement):
-        v = ctx.basis_element(v)
-    found = basis_products(ctx, [(a, b) for a in u.terms for b in v.terms])
-    acc = {}
-    terms = iter(found)
-    for ca in u.terms.values():
-        for cb in v.terms.values():
-            scale = ca * cb
-            for w, c in next(terms).items():
-                acc[w] = acc.get(w, 0) + scale * c
-    return FusionElement(acc)
+    return fusion_products(ctx, [(u, v)])[0]
 
 
 def conjugate(ctx, u):
@@ -779,25 +791,33 @@ def conjugate(ctx, u):
     return u.relabel(ctx.rs.conj_perm)
 
 
-def apply_outer(ctx, perm, u):
-    """Act by an extended-diagram automorphism.
+def apply_outer(ctx, perm, elems):
+    """Act by an extended-diagram automorphism on each of elems (elements
+    or bare basis weights), returning the list of images.
 
-    The action relabels vertices; the result is verified against the
-    equivalent route of multiplying by the corresponding simple-current
-    basis element.
+    The action relabels vertices.  Each basis weight w in the union of the
+    supports is checked first, through one basis_products call: the
+    product of V[w] with the automorphism's simple current must be exactly
+    the relabeled V[w].
     """
     rs = ctx.rs
     perm = tuple(perm)
     if perm not in rs.outer_group:
         raise ValueError(f"{perm} is not an extended-diagram automorphism")
-    if not isinstance(u, FusionElement):
-        u = ctx.basis_element(u)
-    relabeled = u.relabel(perm)
+    elems = [u if isinstance(u, FusionElement) else ctx.basis_element(u) for u in elems]
     current = [0] * (rs.rank + 1)
     current[perm[0]] = ctx.level
-    if fusion_product(ctx, ctx.basis_element(current), u) != relabeled:
-        raise AssertionError("outer automorphism disagrees with its simple current")
-    return relabeled
+    current = tuple(current)
+    support = list(dict.fromkeys(w for u in elems for w in u.terms))
+    found = basis_products(ctx, [(current, w) for w in support])
+    for w, prod in zip(support, found):
+        image = FusionElement({w: 1}).relabel(perm).terms
+        if prod != image:
+            raise AssertionError(
+                f"outer automorphism {perm} disagrees with its simple current "
+                f"{current} at {w}: product {prod}, expected {image}"
+            )
+    return [u.relabel(perm) for u in elems]
 
 
 def _quantum_dimensions(ctx, weights):

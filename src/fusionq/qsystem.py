@@ -9,7 +9,6 @@ pass/fail item.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from .fusion import (
     apply_outer,
     conjugate,
     fusion_product,
+    fusion_products,
     reduced_terms_many,
 )
 from .smatrix import qdim_table
@@ -325,10 +325,10 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
         grid.fill(a, max(clamp(2 * full - 1), ta * k))
         for m in range(clamp(ta * k) + 1):
             rep.add("i", a, m, _is_positive(grid.get(a, m)))
-        for m in range(clamp(ta * k) + 1):
-            lhs = grid.get(a, ta * k - m)
-            rhs = apply_outer(ctx, tau, conjugate(ctx, grid.get(a, m)))
-            rep.add("ii", a, m, lhs == rhs)
+        low = range(clamp(ta * k) + 1)
+        mirrored = [conjugate(ctx, grid.get(a, m)) for m in low]
+        for m, rhs in zip(low, apply_outer(ctx, tau, mirrored)):
+            rep.add("ii", a, m, grid.get(a, ta * k - m) == rhs)
         current = [0] * (rs.rank + 1)
         current[tau[0]] = k
         rep.add("iii", a, ta * k, grid.get(a, ta * k) == ctx.basis_element(current))
@@ -337,10 +337,11 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
         for n in range(1, M + 1):
             perm = _perm_power(tau, n)
             shift = n * period
-            for m in range(clamp(period - 1 + shift) - shift + 1):
+            ms = range(clamp(period - 1 + shift) - shift + 1)
+            images = apply_outer(ctx, perm, [grid.get(a, m) for m in ms])
+            for m, image in zip(ms, images):
                 lhs = grid.get(a, m + shift)
-                rhs = sigma**n * apply_outer(ctx, perm, grid.get(a, m))
-                rep.add("v", a, m + shift, lhs == rhs)
+                rep.add("v", a, m + shift, lhs == sigma**n * image)
         for m in range(clamp(full - 1) + 1):
             rep.add("sign", a, m, _sign_definite(grid.get(a, m)))
         for m in range(clamp(full - 1 + full) - full + 1):
@@ -348,16 +349,26 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
     return rep
 
 
-def _relation_holds(ctx, getter, a, m):
-    """Whether the Q-system relation holds at (a, m) over any getter."""
-    lhs = fusion_product(ctx, getter(a, m), getter(a, m))
-    total = fusion_product(ctx, getter(a, m - 1), getter(a, m + 1))
-    prod = ctx.unit()
-    for b, n in _neighbors(ctx.rs, a):
-        cba = ctx.rs.cartan[b - 1][a - 1]
+def _relations_hold(ctx, getter, a, ms):
+    """Whether the Q-system relation holds at (a, m) over any getter, for
+    each m in ms: one fusion_products call over every m for the products
+    of both sides, then one per factor of the neighbor product."""
+    rs = ctx.rs
+    ms = list(ms)
+    sides = fusion_products(
+        ctx,
+        [(getter(a, m), getter(a, m)) for m in ms]
+        + [(getter(a, m - 1), getter(a, m + 1)) for m in ms],
+    )
+    prods = [ctx.unit()] * len(ms)
+    for b, n in _neighbors(rs, a):
+        cba = rs.cartan[b - 1][a - 1]
         for j in range(n):
-            prod = fusion_product(ctx, prod, getter(b, (j - cba * m) // n))
-    return lhs == total + prod
+            prods = fusion_products(
+                ctx, [(p, getter(b, (j - cba * m) // n)) for p, m in zip(prods, ms)]
+            )
+    squares, total = sides[: len(ms)], sides[len(ms) :]
+    return [sq == t + p for sq, t, p in zip(squares, total, prods)]
 
 
 def check_unrestricted(ctx, grid=None, up_to=None):
@@ -376,8 +387,8 @@ def check_unrestricted(ctx, grid=None, up_to=None):
         if any(b not in supported for b, _ in _neighbors(rs, a)):
             rep.skip("relation", a, None, "neighbor vertex lacks KR data")
             continue
-        for m in range(top + 1):
-            rep.add("relation", a, m, _relation_holds(ctx, grid.get, a, m))
+        for m, ok in enumerate(_relations_hold(ctx, grid.get, a, range(top + 1))):
+            rep.add("relation", a, m, ok)
     return rep
 
 
@@ -454,24 +465,24 @@ def restricted_solution(ctx, grid=None):
         grid.fill(a, s + 1)
         for m in range(s + 1):
             elems[(a, m)] = grid.get(a, m)
-        for m in range(s + 1, ta * k + 1):
-            mirrored = conjugate(ctx, grid.get(a, ta * k - m))
-            elems[(a, m)] = apply_outer(ctx, tau, mirrored)
+        upper = range(s + 1, ta * k + 1)
+        mirrored = [conjugate(ctx, grid.get(a, ta * k - m)) for m in upper]
+        elems.update(zip([(a, m) for m in upper], apply_outer(ctx, tau, mirrored)))
 
     sol = RestrictedSolution(ctx=ctx, elements=elems, report=rep)
     for a in range(1, rs.rank + 1):
         ta = rs.t[a - 1]
         s = ta * k // 2
         tau = rs.tau_table[a]
-        for m in range(ta * k + 1):
-            rep.add("relation", a, m, _relation_holds(ctx, sol.get, a, m))
+        for m, ok in enumerate(_relations_hold(ctx, sol.get, a, range(ta * k + 1))):
+            rep.add("relation", a, m, ok)
         for m in range(ta * k + 1):
             rep.add("positivity", a, m, _is_positive(sol.get(a, m)))
         # The reflected half at s + 1 mirrors s - 1 (even seam) or s (odd).
         parity = "glue-even" if ta * k % 2 == 0 else "glue-odd"
         rep.add(parity, a, s + 1, grid.get(a, s + 1) == sol.get(a, s + 1))
         if ta * k % 2 == 0:
-            center = apply_outer(ctx, tau, conjugate(ctx, grid.get(a, s)))
+            (center,) = apply_outer(ctx, tau, [conjugate(ctx, grid.get(a, s))])
             rep.add("overlap", a, s, center == grid.get(a, s))
     return sol
 
@@ -481,7 +492,7 @@ def admissibility_matrix(ctx, a, m, solution=None):
     if solution is None:
         solution = restricted_solution(ctx)
     R = solution.get(a, m)
-    return ctx.coefficients([fusion_product(ctx, R, b) for b in ctx.basis])
+    return ctx.coefficients(fusion_products(ctx, [(R, b) for b in ctx.basis]))
 
 
 # -- quantum dimension tables and the damped product system -------------------
@@ -511,18 +522,24 @@ def coupling_matrix(rs, level):
 
 
 def _principal_minors_positive(K):
-    """Exact positive-definiteness via leading principal minors: without
-    pivoting, the k-th one is the product of the first k pivots."""
-    n = len(K)
-    m = [[Fraction(x) for x in row] for row in K]
-    for col in range(n):
-        piv = m[col][col]
+    """Exact positive-definiteness via leading principal minors, by
+    fraction-free elimination (Bareiss 1968) of K times a common
+    denominator: each step's exact division leaves, in the corner of the
+    trailing block, the next leading principal minor of the scaled matrix,
+    which has the sign of K's."""
+    den = math.lcm(*(x.denominator for row in K for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in K]
+    prev = 1
+    while m:
+        head = m[0]
+        piv = head[0]
         if piv <= 0:
             return False
-        for i in range(col + 1, n):
-            f = m[i][col] / piv
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+        m = [
+            [(x * piv - r[0] * y) // prev for x, y in zip(r[1:], head[1:])]
+            for r in m[1:]
+        ]
+        prev = piv
     return True
 
 
@@ -640,32 +657,35 @@ def kns_report(ctx, sm, grid=None, solution=None, tol=1e-9):
             rep.add("f-range", a, m, 0.0 < fvec[idx] < 1.0)
             rep.add("f-matches-x", a, m, abs((1.0 - fvec[idx]) - x[(a, m)]) <= tol)
 
-    # Probe-weight identities, at every probe where the lower-half
-    # dimensions stay away from zero.  Items carry the probe's basis
-    # index in the m slot.
-    for mu_idx, mu in enumerate(ctx.basis):
-        if any(
-            np.any(np.abs(qd[a][: rs.t[a - 1] * k // 2 + 1, mu_idx]) <= tol)
-            for a in range(1, rs.rank + 1)
-        ):
-            rep.skip("probe", None, mu_idx, f"mu={list(mu)}: zero in lower half")
+    # Probe-weight identities, each evaluated at all probes at once and
+    # reported at every probe where the lower-half dimensions stay away
+    # from zero.  The boundary phase is exp(-2 pi i (omega_j | mu)) with
+    # j = tau_a(0).  Items carry the probe's basis index in the m slot.
+    labels = ctx._basis_rows[:, 1:]
+    skip = np.zeros(len(ctx.basis), dtype=bool)
+    oks = {}
+    for a in range(1, rs.rank + 1):
+        top = rs.t[a - 1] * k
+        col = qd[a]
+        skip |= (np.abs(col[: top // 2 + 1]) <= tol).any(axis=0)
+        j = rs.tau_table[a][0]
+        turns = labels @ rs._gram_num[j - 1] / rs._gram_den if j else 0.0
+        phase = np.exp(-2j * math.pi * turns)
+        checks = {
+            "qdim-match": (np.abs(col[: top + 1] - qd_R[a]) <= tol).all(axis=0),
+            "qdim-sym": (
+                np.abs(col[: top + 1] - col[top] * col[top::-1].conj()) <= tol
+            ).all(axis=0),
+            "qdim-boundary": np.abs(col[top] - phase) <= tol,
+            "qdim-zero": (np.abs(col[top + 1 :]) <= tol).all(axis=0),
+        }
+        oks[a] = {key: ok.tolist() for key, ok in checks.items()}
+    for mu_idx, (mu, skipped) in enumerate(zip(ctx.basis, skip.tolist())):
+        detail = f"mu={list(mu)}"
+        if skipped:
+            rep.skip("probe", None, mu_idx, f"{detail}: zero in lower half")
             continue
         for a in range(1, rs.rank + 1):
-            top = rs.t[a - 1] * k
-            col, col_R = qd[a][:, mu_idx], qd_R[a][:, mu_idx]
-            phase = cmath.exp(
-                -2j
-                * math.pi
-                * float(rs.ip(rs.fundamental_weight(rs.tau_table[a][0]), mu[1:]))
-            )
-            oks = {
-                "qdim-match": np.all(np.abs(col[: top + 1] - col_R) <= tol),
-                "qdim-sym": np.all(
-                    np.abs(col[: top + 1] - col[top] * col[top::-1].conj()) <= tol
-                ),
-                "qdim-boundary": abs(col[top] - phase) <= tol,
-                "qdim-zero": np.all(np.abs(col[top + 1 :]) <= tol),
-            }
-            for key, ok in oks.items():
-                rep.add(key, a, mu_idx, ok, f"mu={list(mu)}")
+            for key, ok in oks[a].items():
+                rep.add(key, a, mu_idx, ok[mu_idx], detail)
     return KNSReport(report=rep, dims=dims, points=points, x=x, f=f)

@@ -21,7 +21,7 @@ from .fusion import FusionElement
 
 _WEYL_RANK_CAP = 6
 # Working-set budget for one block of cosets or of determinant rows.
-_BLOCK_BYTES = 1 << 25
+_BLOCK_BYTES = 1 << 24
 # Classical Levi: family, rank, parent vertices J (1-based) in the Levi's order.
 _LEVI = {
     "E6": ("D", 5, (5, 4, 3, 2, 6)),

@@ -62,7 +62,9 @@ def test_cartan_matrix(key, make_rs):
     assert rs.cartan == CARTAN[key]
 
 
-@pytest.mark.parametrize("key", sorted(MARKS))
+@pytest.mark.parametrize(
+    "key", sorted(MARKS), ids=lambda key: "-".join(map(str, key))
+)
 def test_marks_and_comarks(key, make_rs):
     rs = make_rs(*key)
     marks, comarks = MARKS[key]

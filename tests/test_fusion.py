@@ -26,6 +26,7 @@ from fusionq import (
     conjugate,
     enumerate_basis,
     fusion_product,
+    fusion_products,
     kr_classical_components,
     kr_element,
 )
@@ -838,21 +839,25 @@ def _ctx_a2k2():
 def test_apply_outer_matches_simple_current(make_ctx):
     """Relabeling by tau_a equals multiplying by the current V_{k omega_a}.
 
-    apply_outer verifies this internally; the assertion here exercises the
-    product route explicitly.
+    apply_outer checks this once per support weight of its whole list; the
+    per-element product route, the check it replaced, is the reference
+    here, on basis weights and on KR elements with several terms.
     """
     for key in [("A", 3, 2), ("D", 4, 2), ("E", 6, 2)]:
         ctx = make_ctx(*key)
         rs = ctx.rs
+        elems = [ctx.basis_element(w) for w in ctx.basis]
+        elems += [kr_element(ctx, a, 2) for a in rs.minuscule_vertices]
+        elems.append(ctx.zero())
         for a, perm in rs.tau_table.items():
             if perm == tuple(range(rs.rank + 1)):
                 continue
             current = [0] * (rs.rank + 1)
             current[perm[0]] = ctx.level
             cur = ctx.basis_element(current)
-            for w in ctx.basis:
-                lhs = fusion_product(ctx, cur, w)
-                assert lhs == apply_outer(ctx, perm, w)
+            expect = [fusion_product(ctx, cur, u) for u in elems]
+            assert apply_outer(ctx, perm, elems) == expect
+            assert apply_outer(ctx, perm, ctx.basis) == expect[: len(ctx.basis)]
 
 
 def test_apply_outer_distributes_over_products(make_ctx):
@@ -860,15 +865,46 @@ def test_apply_outer_distributes_over_products(make_ctx):
     perm = ctx.rs.tau_table[1]
     for u in ctx.basis[:5]:
         for v in ctx.basis[:5]:
-            lhs = apply_outer(ctx, perm, fusion_product(ctx, u, v))
-            rhs = fusion_product(ctx, apply_outer(ctx, perm, u), v)
-            assert lhs == rhs
+            (lhs,) = apply_outer(ctx, perm, [fusion_product(ctx, u, v)])
+            (image,) = apply_outer(ctx, perm, [u])
+            assert lhs == fusion_product(ctx, image, v)
 
 
 def test_apply_outer_rejects_non_automorphism(make_ctx):
     ctx = make_ctx("A", 2, 2)
     with pytest.raises(ValueError):
-        apply_outer(ctx, (1, 0, 2), ctx.unit())
+        apply_outer(ctx, (1, 0, 2), [ctx.unit()])
+
+
+def test_apply_outer_names_a_disagreeing_weight(make_rs):
+    """A tampered product with the simple current fails the check, and the
+    message names the weight, the product found and the expected image."""
+    ctx = FusionContext(make_rs("A", 2), 2)
+    perm = ctx.rs.tau_table[1]
+    current = (0, 2, 0)
+    w = (1, 1, 0)
+    (image,) = apply_outer(ctx, perm, [w])
+    assert image == ctx.basis_element((0, 1, 1))
+    key = min(current, w), max(current, w)
+    ctx._products[key] = {(1, 0, 1): 1}
+    elems = [ctx.basis_element((0, 0, 2)), ctx.basis_element(w) + ctx.unit()]
+    with pytest.raises(AssertionError) as err:
+        apply_outer(ctx, perm, elems)
+    message = str(err.value)
+    assert f"at {w}:" in message
+    assert "product {(1, 0, 1): 1}" in message
+    assert "expected {(0, 1, 1): 1}" in message
+
+
+def test_fusion_products_match_one_pair_at_a_time(make_ctx):
+    """fusion_products over a list equals fusion_product pair by pair, for
+    elements and bare basis weights alike, and an empty list gives []."""
+    ctx = make_ctx("B", 2, 2)
+    elems = [ctx.unit(), kr_element(ctx, 2, 2), ctx.basis[3], ctx.zero()]
+    pairs = list(itertools.product(elems, repeat=2))
+    expect = [fusion_product(ctx, u, v) for u, v in pairs]
+    assert fusion_products(ctx, pairs) == expect
+    assert fusion_products(ctx, []) == []
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionq import (
     KRDataUnavailableError,
@@ -19,6 +20,7 @@ from fusionq import (
     check_unrestricted,
     conjugate,
     coupling_matrix,
+    fusion_product,
     kns_report,
     kr_classical_components,
     kr_element,
@@ -331,6 +333,51 @@ def test_unrestricted_relations(make_ctx):
         assert any(i["id"] == "relation" for i in rep.items)
 
 
+def _relation_holds(ctx, getter, a, m):
+    """The per-m Q-system relation, one fusion_product at a time: the
+    reference for _relations_hold."""
+    lhs = fusion_product(ctx, getter(a, m), getter(a, m))
+    total = fusion_product(ctx, getter(a, m - 1), getter(a, m + 1))
+    prod = ctx.unit()
+    for b, n in qsystem._neighbors(ctx.rs, a):
+        cba = ctx.rs.cartan[b - 1][a - 1]
+        for j in range(n):
+            prod = fusion_product(ctx, prod, getter(b, (j - cba * m) // n))
+    return lhs == total + prod
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("A", 1, 3), ("A", 2, 3), ("B", 2, 2), ("C", 3, 2), ("D", 4, 2)],
+    ids=lambda key: "{}{}-k{}".format(*key),
+)
+def test_relations_hold_matches_per_m(key, make_ctx):
+    """On the KR grid, on the restricted solution and on a grid with
+    one element shifted by the unit, so that some relations fail, the
+    batched check agrees with the per-m reference at every m."""
+    ctx = make_ctx(*key)
+    k = ctx.level
+    grid = WGrid(ctx)
+    sol = restricted_solution(ctx, grid=grid)
+    getters = [("grid", grid.get), ("restricted", sol.get)]
+    bad = grid.vertices[0], 2
+
+    def tampered(b, m):
+        elem = grid.get(b, m)
+        return elem + ctx.unit() if (b, m) == bad else elem
+
+    getters.append(("tampered", tampered))
+    failures = 0
+    for name, getter in getters:
+        for a in grid.vertices:
+            top = ctx.rs.t[a - 1] * k
+            got = qsystem._relations_hold(ctx, getter, a, range(top + 1))
+            expect = [_relation_holds(ctx, getter, a, m) for m in range(top + 1)]
+            assert got == expect, (name, a)
+            failures += expect.count(False)
+    assert failures > 0
+
+
 def test_unrestricted_skips_exceptional(make_ctx):
     rep = check_unrestricted(make_ctx("E", 6, 2))
     assert rep.ok
@@ -428,8 +475,9 @@ def test_restricted_matches_grid_lower_half(make_ctx):
             assert sol.get(a, m) == grid.get(a, m)
         # upper half is the twisted mirror
         tau = ctx.rs.tau_table[a]
-        for m in range(s + 1, ta * 2 + 1):
-            expect = apply_outer(ctx, tau, conjugate(ctx, grid.get(a, ta * 2 - m)))
+        upper = range(s + 1, ta * 2 + 1)
+        mirrored = [conjugate(ctx, grid.get(a, ta * 2 - m)) for m in upper]
+        for m, expect in zip(upper, apply_outer(ctx, tau, mirrored)):
             assert sol.get(a, m) == expect
 
 
@@ -501,6 +549,62 @@ def test_coupling_matrix_b2_row(make_rs):
             assert isinstance(K[i][j], Fraction)
 
 
+def _fraction_minors_positive(K):
+    """Leading principal minors by Gaussian elimination in Fractions: the
+    reference for the integer elimination."""
+    n = len(K)
+    m = [[Fraction(x) for x in row] for row in K]
+    for col in range(n):
+        piv = m[col][col]
+        if piv <= 0:
+            return False
+        for i in range(col + 1, n):
+            f = m[i][col] / piv
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return True
+
+
+def test_principal_minors_examples(make_rs):
+    minors = qsystem._principal_minors_positive
+    assert minors([])
+    assert minors([[2, -1], [-1, 2]])
+    assert not minors([[1, 1], [1, 1]])  # singular
+    assert not minors([[1, 2], [2, 1]])  # indefinite
+    assert not minors([[0, 0], [0, 1]])  # zero leading minor
+    assert minors([[Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 6), Fraction(1, 2)]])
+    for key, level in [(("C", 4), 4), (("A", 5), 5), (("B", 3), 3), (("G", 2), 3)]:
+        _, K = coupling_matrix(make_rs(*key), level)
+        assert minors(K) and _fraction_minors_positive(K), key
+
+
+_ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_principal_minors_match_fraction_elimination(data):
+    """Any square matrix, a Gram matrix A A^T (positive semidefinite,
+    singular when A has a repeated row), and a Gram matrix shifted by -c I
+    (often indefinite): the integer elimination decides as the Fraction
+    one does."""
+    n = data.draw(st.integers(0, 6), label="n")
+    rows = st.lists(_ENTRIES, min_size=n, max_size=n)
+    A = data.draw(st.lists(rows, min_size=n, max_size=n), label="A")
+    kind = data.draw(st.sampled_from(["any", "gram", "singular", "shifted"]))
+    if kind == "singular" and n >= 2:
+        A[-1] = list(A[0])
+    if kind == "any":
+        K = A
+    else:
+        K = [[sum(x * y for x, y in zip(r, s)) for s in A] for r in A]
+        if kind == "shifted":
+            c = data.draw(_ENTRIES, label="c")
+            K = [[x - c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(K)]
+    K = [[Fraction(x) for x in row] for row in K]
+    assert qsystem._principal_minors_positive(K) == _fraction_minors_positive(K)
+
+
 def test_solve_f_system_su2(make_rs):
     _, K = coupling_matrix(make_rs("A", 1), 2)
     f, converged, _ = solve_f_system(K)
@@ -552,6 +656,69 @@ def test_kns_probe_items(make_ctx, make_sm):
     # every probe either passed all its identities or was skipped by the
     # lower-half hypothesis, never failed
     assert not out.report.counterexamples
+
+
+def _probe_items(ctx, sm, grid, solution, tol):
+    """The probe-weight items of kns_report, one probe and one vertex at a
+    time with a Fraction inner product per phase: the reference for the
+    whole-array evaluation."""
+    rs, k = ctx.rs, ctx.level
+    rep = qsystem._new_report(ctx, "kns")
+    kappa = k + rs.dual_coxeter
+    qd, qd_R = {}, {}
+    for a in range(1, rs.rank + 1):
+        ta = rs.t[a - 1]
+        qd[a] = qdim_table(sm, [grid.get(a, m) for m in range(ta * kappa)])
+        qd_R[a] = qdim_table(sm, [solution.get(a, m) for m in range(ta * k + 1)])
+    for mu_idx, mu in enumerate(ctx.basis):
+        if any(
+            np.any(np.abs(qd[a][: rs.t[a - 1] * k // 2 + 1, mu_idx]) <= tol)
+            for a in range(1, rs.rank + 1)
+        ):
+            rep.skip("probe", None, mu_idx, f"mu={list(mu)}: zero in lower half")
+            continue
+        for a in range(1, rs.rank + 1):
+            top = rs.t[a - 1] * k
+            col, col_R = qd[a][:, mu_idx], qd_R[a][:, mu_idx]
+            turns = rs.ip(rs.fundamental_weight(rs.tau_table[a][0]), mu[1:])
+            angle = 2 * math.pi * turns
+            phase = complex(math.cos(angle), -math.sin(angle))
+            oks = {
+                "qdim-match": np.all(np.abs(col[: top + 1] - col_R) <= tol),
+                "qdim-sym": np.all(
+                    np.abs(col[: top + 1] - col[top] * col[top::-1].conj()) <= tol
+                ),
+                "qdim-boundary": abs(col[top] - phase) <= tol,
+                "qdim-zero": np.all(np.abs(col[top + 1 :]) <= tol),
+            }
+            for key, ok in oks.items():
+                rep.add(key, a, mu_idx, ok, f"mu={list(mu)}")
+    return rep.items
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("A", 1, 2), ("A", 3, 3), ("B", 3, 2), ("C", 3, 2), ("D", 5, 2)],
+    ids=lambda key: "{}{}-k{}".format(*key),
+)
+def test_kns_probe_items_match_per_probe(key, make_ctx, make_sm):
+    """Item by item, the probe-weight items equal the per-probe reference,
+    and close the report: with the default tolerance (some probes skipped
+    on B, C and D) and with a tolerance so small that most items fail."""
+    ctx = make_ctx(*key)
+    sm = make_sm(*key)
+    grid = WGrid(ctx)
+    sol = restricted_solution(ctx, grid=grid)
+    probe_ids = {"probe", "qdim-match", "qdim-sym", "qdim-boundary", "qdim-zero"}
+    for tol in (1e-9, 1e-15):
+        items = kns_report(ctx, sm, grid=grid, solution=sol, tol=tol).report.items
+        expect = _probe_items(ctx, sm, grid, sol, tol)
+        assert items[len(items) - len(expect) :] == expect
+        assert not {i["id"] for i in items[: len(items) - len(expect)]} & probe_ids
+        statuses = {i["status"] for i in expect}
+        assert "pass" in statuses
+        if tol < 1e-12:
+            assert "fail" in statuses
 
 
 def test_kns_b2(make_ctx, make_sm):
