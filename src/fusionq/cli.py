@@ -15,8 +15,10 @@ import os
 import sys
 from contextlib import nullcontext
 
+import numpy as np
+
 from .cartan import DynkinType, build_root_system
-from .fusion import FusionContext, basis_products
+from .fusion import FusionContext, basis_product_rows
 from .qsystem import (
     KRDataUnavailableError,
     WGrid,
@@ -62,13 +64,15 @@ def cmd_ring(args):
     """Write the basis listing and the full pairwise fusion-product table.
 
     Every product is computed and the cache saved before the first byte is
-    written, so a failed run leaves no partial output file.  The report is
-    then streamed one product at a time: the same bytes as one compact
-    json.dumps of the whole object, without holding that object or its text.
+    written, so a failed run leaves no partial output file.  The report has
+    the bytes of one compact json.dumps of the whole object, written one row
+    of products at a time: each write is a system call when stdout is
+    unbuffered.  The text of each unordered pair's product is built once,
+    from the text of each (basis index, coefficient) term.
     """
     ctx = _context(args)
     n = len(ctx.basis)
-    found = basis_products(ctx, ((u, v) for u in ctx.basis for v in ctx.basis))
+    at, starts, terms, coeffs = basis_product_rows(ctx, *np.divmod(np.arange(n * n), n))
     ctx.save_cache()
     head = json.dumps(
         {
@@ -79,13 +83,26 @@ def cmd_ring(args):
         },
         separators=(",", ":"),
     )
-    prefix = {w: '{"w":[%s],"c":' % ",".join(map(str, w)) for w in ctx.basis}
+    values, coeffs = np.unique(coeffs, return_inverse=True)
+    pieces, which = np.unique(coeffs * n + terms, return_inverse=True)
+    text = [
+        '{"w":[%s],"c":%d}' % (",".join(map(str, ctx.basis[w])), values[c])
+        for c, w in zip(*np.divmod(pieces, n))
+    ]
+    text = [text[u] for u in which.tolist()]
+    bounds = starts.tolist()
+    bodies = [",".join(text[s:e]) for s, e in zip(bounds, bounds[1:])]
+    at = at.tolist()
     with _output(args.out) as fh:
         fh.write(head[:-1] + ',"products":[')
-        for k, terms in enumerate(found):
-            body = ",".join([prefix[w] + str(c) + "}" for w, c in terms.items()])
-            sep = "," if k else ""
-            fh.write('%s{"i":%d,"j":%d,"terms":[%s]}' % (sep, k // n, k % n, body))
+        for i in range(n):
+            row = ",".join(
+                [
+                    '{"i":%d,"j":%d,"terms":[%s]}' % (i, j, bodies[p])
+                    for j, p in enumerate(at[i * n : (i + 1) * n])
+                ]
+            )
+            fh.write("," + row if i else row)
         fh.write("]}\n")
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,7 @@ _REDUCE_CAP = 10**6
 # only memory: filling C4 k4 vertex 3 in one call peaks near 41 MB under
 # tracemalloc, against 1.6 MB at this size.
 _REDUCE_ROWS = 2**12
-# Float64 numbers of one partner chunk of basis_products' recursion (more
+# Float64 numbers of one partner chunk of basis_product_rows' recursion (more
 # only when one partner alone needs more).
 _CHUNK_NUMBERS = 2**16
 # Every int64 intermediate of alcove_reduce_many stays below this.
@@ -152,6 +153,60 @@ def _rank_offsets(comarks, level):
     return offsets
 
 
+def _ranges(starts, sizes):
+    """Positions starts[k], ..., starts[k] + sizes[k] - 1, for each k in
+    turn, as one int64 array."""
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
+def _find(known, keys):
+    """Each key's position in the sorted array known, or -1 where it is
+    absent."""
+    at = np.searchsorted(known, keys)
+    hit = at < len(known)
+    hit[hit] = known[at[hit]] == keys[hit]
+    return np.where(hit, at, -1)
+
+
+class _ProductTable:
+    """The basis products a context knows, in CSR arrays.
+
+    keys is sorted and holds one key per unordered basis pair,
+    lo * n + hi for lo <= hi the places of its two weights in ascending
+    affine order, so the keys follow the order of the weight pairs.  The
+    product of pair p has the basis indices terms[starts[p]:starts[p + 1]],
+    ascending in affine order, with the coefficients coeffs over the same
+    range.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.keys = np.empty(0, dtype=np.int64)
+        self.starts = np.zeros(1, dtype=np.int64)
+        self.terms = np.empty(0, dtype=np.int64)
+        self.coeffs = np.empty(0, dtype=np.int64)
+
+    def rows(self, at):
+        """The products of the pairs at in CSR form, as int lists (sizes,
+        terms, coeffs)."""
+        sizes = self.starts[at + 1] - self.starts[at]
+        ranges = _ranges(self.starts[at], sizes)
+        return sizes.tolist(), self.terms[ranges].tolist(), self.coeffs[ranges].tolist()
+
+    def add(self, parts):
+        """Merge the products of new pairs, given as parts (keys, sizes,
+        terms, coeffs) in any order: pair i of a part has the key keys[i]
+        and the next sizes[i] of its terms and coeffs."""
+        old = self.keys, np.diff(self.starts), self.terms, self.coeffs
+        keys, sizes, terms, coeffs = (np.concatenate(x) for x in zip(old, *parts))
+        order = np.argsort(keys)
+        at = _ranges((np.cumsum(sizes) - sizes)[order], sizes[order])
+        self.keys = keys[order]
+        self.starts = np.concatenate(([0], np.cumsum(sizes[order])))
+        self.terms = terms[at]
+        self.coeffs = coeffs[at]
+
+
 class FusionContext:
     """A fusion ring at fixed level.
 
@@ -167,14 +222,16 @@ class FusionContext:
         self.basis = enumerate_basis(rs, level)
         self.basis_index = {w: i for i, w in enumerate(self.basis)}
         self.unit_weight = self.basis[0]
-        self._products = {}
         self._cache_dir = cache_dir
         self._cache_dirty = False
         self._rank_offsets = _rank_offsets(rs.comarks, level)
-        # Each basis index's place in ascending order of the affine tuples.
-        self._affine_rank = np.argsort(
-            sorted(range(len(self.basis)), key=self.basis.__getitem__)
+        # The basis indices in ascending order of the affine tuples, and each
+        # basis index's place in that order.
+        self._by_affine = np.array(
+            sorted(range(len(self.basis)), key=self.basis.__getitem__), dtype=np.int64
         )
+        self._affine_rank = np.argsort(self._by_affine)
+        self._table = _ProductTable(len(self.basis))
         # Integer data of alcove_reduce_many.  weight_bound keeps every int64
         # intermediate below _INT64_HEADROOM: the level pairing, the coroot
         # coordinates (at most adj_sum times a coordinate) and the translation
@@ -258,9 +315,11 @@ class FusionContext:
         n = len(self.basis)
 
         def key(*idx):
-            # One int per unordered pair, with any further indices appended.
+            # One int per unordered pair, with any further indices appended,
+            # over places in affine order: the table's key of a pair.
+            idx = [self._affine_rank[i] for i in idx]
             lo, hi = np.minimum(idx[0], idx[1]), np.maximum(idx[0], idx[1])
-            return np.ravel_multi_index((lo, hi) + idx[2:], (n,) * len(idx))
+            return np.ravel_multi_index([lo, hi] + idx[2:], (n,) * len(idx))
 
         try:
             with open(self._cache_path()) as fh:
@@ -278,7 +337,8 @@ class FusionContext:
             if lengths != (len(pairs), len(terms), len(terms)):
                 raise ValueError("array lengths disagree")
             owner = np.repeat(np.arange(len(pairs)), sizes)
-            pair_keys = np.sort(key(pairs[:, 0], pairs[:, 1]))
+            keys = key(pairs[:, 0], pairs[:, 1])
+            pair_keys = np.sort(keys)
             place = owner * n + self._affine_rank[terms]
             if (np.diff(pair_keys) == 0).any() or (np.diff(place) <= 0).any():
                 raise ValueError("repeated pair or term")
@@ -301,22 +361,21 @@ class FusionContext:
         except (OSError, ValueError, KeyError, TypeError):
             # Unreadable or mismatched cache: recompute from scratch.
             return
-        labels = [self.basis[j] for j in terms.tolist()]
-        coeffs, ends = coeffs.tolist(), np.cumsum(sizes).tolist()
-        for (a, b), start, end in zip(pairs.tolist(), [0] + ends, ends):
-            found = dict(zip(labels[start:end], coeffs[start:end]))
-            self._products[self.basis[a], self.basis[b]] = found
+        self._table.add([(keys, sizes, terms, coeffs)])
 
     def save_cache(self):
-        """Persist the product table by basis index, atomically."""
+        """Persist the product table by basis index, atomically, pairs in
+        the order of the table's keys."""
         if not self._cache_dir or not self._cache_dirty:
             return
-        table = {"pairs": [], "sizes": [], "terms": [], "coeffs": []}
-        for (a, b), terms in sorted(self._products.items()):
-            table["pairs"] += (self.basis_index[a], self.basis_index[b])
-            table["sizes"].append(len(terms))
-            table["terms"] += map(self.basis_index.__getitem__, terms)
-            table["coeffs"] += terms.values()
+        t = self._table
+        pairs = self._by_affine[np.column_stack(np.divmod(t.keys, t.n))]
+        table = {
+            "pairs": pairs.ravel().tolist(),
+            "sizes": np.diff(t.starts).tolist(),
+            "terms": t.terms.tolist(),
+            "coeffs": t.coeffs.tolist(),
+        }
         os.makedirs(self._cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self._cache_dir, suffix=".tmp")
         try:
@@ -428,9 +487,8 @@ def alcove_reduce_many(ctx, weights):
     )
     known = ctx._memo_keys
     keys = words.view(known.dtype)[:, 0]
-    at = np.searchsorted(known, keys)
-    hit = at < len(known)
-    hit[hit] = known[at[hit]] == keys[hit]
+    at = _find(known, keys)
+    hit = at >= 0
     codes = np.empty(len(keys), dtype=np.int64)
     codes[hit] = ctx._memo_codes[at[hit]]
     miss = np.flatnonzero(~hit)
@@ -503,21 +561,33 @@ def _reduced_table(ctx, count, total, rows_at):
     return table
 
 
-def _table_terms(ctx, table):
-    """Terms dicts, each in ascending order, of the rows of a (count, basis)
-    table of integers, int or float: each row's nonzeros in affine order."""
+def _table_rows(ctx, table):
+    """The rows of a (count, basis) table of integers, int or float, in CSR
+    form: (sizes, terms, coeffs), each row's nonzeros in affine order."""
     owner, col = np.nonzero(table)
     order = np.argsort(owner * len(ctx.basis) + ctx._affine_rank[col], kind="stable")
     owner, col = owner[order], col[order]
-    ends = np.cumsum(np.bincount(owner, minlength=len(table))).tolist()
-    labels = [ctx.basis[j] for j in col.tolist()]
-    coeffs = table[owner, col].astype(np.int64).tolist()
-    return [dict(zip(labels[s:e], coeffs[s:e])) for s, e in zip([0] + ends, ends)]
+    sizes = np.bincount(owner, minlength=len(table))
+    return sizes, col, table[owner, col].astype(np.int64)
+
+
+def _terms_dicts(ctx, sizes, terms, coeffs):
+    """Terms dicts of rows in CSR form, given as int lists: row i is the
+    next sizes[i] of the basis indices terms and their coefficients
+    coeffs."""
+    terms, coeffs = map(ctx.basis.__getitem__, terms), iter(coeffs)
+    return [dict(zip(islice(terms, size), islice(coeffs, size))) for size in sizes]
+
+
+def _table_terms(ctx, table):
+    """Terms dicts, each in ascending order, of the rows of a (count, basis)
+    table of integers, int or float."""
+    return _terms_dicts(ctx, *(x.tolist() for x in _table_rows(ctx, table)))
 
 
 def reduced_terms_many(ctx, count, total, rows_at):
     """Terms dicts, each in ascending order, of count sums of signed alcove
-    reductions; with basis_products, the only way from rows to terms.
+    reductions; with basis_product_rows, the only way from rows to terms.
 
     The rows are known by position: rows_at(p), for an int64 array p of
     positions in [0, total), returns (owner, finite, mults), where row i adds
@@ -626,15 +696,14 @@ def _fundamental_rows(ctx, i, kappas):
     return ctx._generators.rows[i][slots]
 
 
-def _derived_products(ctx, keys):
-    """Terms dicts of the basis pairs keys, none with the unit, from the
-    fundamental matrices; see basis_products."""
+def _derived_products(ctx, a, b):
+    """The products of the basis pairs (a[k], b[k]), none with the unit,
+    from the fundamental matrices, as a list of parts (k, sizes, terms,
+    coeffs): the pairs k in CSR form; see basis_product_rows."""
     if ctx._generators is None:
         ctx._generators = _Generators(ctx)
     gen = ctx._generators
     n = len(ctx.basis)
-    a = np.array([ctx.basis_index[la] for la, _ in keys])
-    b = np.array([ctx.basis_index[mu] for _, mu in keys])
     swap = gen.pos[a] > gen.pos[b]
     lam, part = np.where(swap, b, a), np.where(swap, a, b)
 
@@ -686,7 +755,7 @@ def _derived_products(ctx, keys):
     by_partner = np.argsort(pslot, kind="stable")
     bounds = np.searchsorted(pslot[by_partner], np.arange(len(partners) + 1))
     chunk = max(1, _CHUNK_NUMBERS // (len(dl) * n))
-    found = {}
+    parts = []
     for start in range(0, len(partners), chunk):
         us = partners[start : start + chunk]
         x = np.zeros((len(dl), len(us), n))
@@ -711,48 +780,67 @@ def _derived_products(ctx, keys):
         asked = by_partner[bounds[start] : bounds[start + len(us)]]
         table = x[drow[lam[asked]], pslot[asked] - start]
         _check_nonnegative(ctx, table, lambda j: (a[asked[j]], b[asked[j]]))
-        found.update(zip([keys[k] for k in asked.tolist()], _table_terms(ctx, table)))
-    return found
+        parts.append((asked, *_table_rows(ctx, table)))
+    return parts
 
 
-def basis_products(ctx, pairs):
-    """Terms dicts of the basis-pair products in pairs, in request order.
+def basis_product_rows(ctx, a, b):
+    """The index-level form of basis_products, for the pairs of basis
+    indices (a[k], b[k]): returns (at, starts, terms, coeffs), where the
+    product of pair k has the basis indices terms[starts[at[k]]:
+    starts[at[k] + 1]], ascending in affine order, with the coefficients
+    coeffs over the same range.
 
-    This is the only way into the product table.  Pairs not in it yet are
-    computed first, each unordered pair once, from the fundamental matrices
-    N_i of multiplication by V[omega_i], the presentation of the ring by its
-    fundamental generators (Gepner 1991).  Only rows of the N_i go through
-    Kac-Walton reduction, each once per context, as a call needs them.  With
-    the basis in height order, a pair's earlier factor la other than 0 has
-    its first vertex i with la_i > 0, and
+    With basis_products, this is the only way into the product table.
+    Pairs not in it yet are computed first, each unordered pair once, from
+    the fundamental matrices N_i of multiplication by V[omega_i], the
+    presentation of the ring by its fundamental generators (Gepner 1991).
+    Only rows of the N_i go through Kac-Walton reduction, each once per
+    context, as a call needs them.  With the basis in height order, a pair's
+    earlier factor la other than 0 has its first vertex i with la_i > 0, and
     V[la] = V[omega_i] V[la - omega_i] - sum of c_nu V[nu], every nu earlier
     than la.  So for all partners u at once,
     X[la] = X[la - omega_i] N_i - sum of c_nu X[nu], where X[la] holds the
     products V[la] V[u], over the closure of the earlier factors in height
     order, in float64 arithmetic checked to be exact, in partner chunks of
     at most _CHUNK_NUMBERS numbers.  Every check raises AssertionError before
-    anything is stored.  Only the requested pairs are stored, each with its
-    terms in ascending order.
+    anything is stored.  Only the requested pairs are stored.
     """
-    products = ctx._products
-    keys = [(la, mu) if la <= mu else (mu, la) for la, mu in pairs]
-    new, missing = {}, []
-    for key in dict.fromkeys(keys):
-        if key in products:
-            continue
-        la, mu = key
-        if la == ctx.unit_weight:
-            new[key] = {mu: 1}
-        elif mu == ctx.unit_weight:
-            new[key] = {la: 1}
-        else:
-            missing.append(key)
-    if missing:
-        new.update(_derived_products(ctx, missing))
-    if new:
-        products.update(new)
+    table = ctx._table
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    ra, rb = ctx._affine_rank[a], ctx._affine_rank[b]
+    keys = np.minimum(ra, rb) * table.n + np.maximum(ra, rb)
+    at = _find(table.keys, keys)
+    # Sorted and deduplicated without np.unique, which imports numpy.ma
+    # (16 ms, 0.6 MB) when asked for no indices.
+    new = np.sort(keys[at < 0])
+    new = new[np.diff(new, prepend=-1) > 0]
+    if new.size:
+        lo, hi = ctx._by_affine[new // table.n], ctx._by_affine[new % table.n]
+        # The unit has basis index 0: V[0] V[mu] = V[mu].
+        unit = (lo == 0) | (hi == 0)
+        ones = np.ones(unit.sum(), dtype=np.int64)
+        parts = [(new[unit], ones, lo[unit] + hi[unit], ones)]
+        rest = np.flatnonzero(~unit)
+        if rest.size:
+            found = _derived_products(ctx, lo[rest], hi[rest])
+            parts += [(new[rest[k]], *rows) for k, *rows in found]
+        table.add(parts)
         ctx._cache_dirty = True
-    return [products[key] for key in keys]
+        at = _find(table.keys, keys)
+    return at, table.starts, table.terms, table.coeffs
+
+
+def basis_products(ctx, pairs):
+    """Terms dicts, each in ascending order, of the basis-pair products in
+    pairs, in request order; see basis_product_rows.  Dicts are built only
+    for the pairs asked for."""
+    pairs = list(pairs)
+    a = np.array([ctx.basis_index[la] for la, _ in pairs], dtype=np.int64)
+    b = np.array([ctx.basis_index[mu] for _, mu in pairs], dtype=np.int64)
+    asked, back = np.unique(basis_product_rows(ctx, a, b)[0], return_inverse=True)
+    found = _terms_dicts(ctx, *ctx._table.rows(asked))
+    return [found[k] for k in back.tolist()]
 
 
 def fusion_products(ctx, pairs):

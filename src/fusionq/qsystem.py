@@ -294,7 +294,9 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
     sign and period then read no W_m with m above it.  Items ii and iii
     still read W_{tk-m} and W_{tk}, so the KR elements up to tk are built
     whatever the horizon.  Each column is filled up front to the top m
-    read, max(clamp(2 M t kappa - 1), tk), and to nothing above it.
+    read, max(clamp(2 M t kappa - 1), tk), and to nothing above it.  Items
+    ii and v make one apply_outer call per distinct power of tau over all
+    vertices.
     """
     if grid is None:
         grid = WGrid(ctx, vertices)
@@ -313,35 +315,52 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
     def clamp(m):
         return m if horizon is None else min(m, horizon)
 
+    kappa = k + rs.dual_coxeter
+    M = period_multiplier(rs)
+
+    def powers(a):
+        """(n, tau_a^n, shift, the m of item v) at vertex a, for n = 1..M."""
+        period = rs.t[a - 1] * kappa
+        for n in range(1, M + 1):
+            shift = n * period
+            ms = range(clamp(period - 1 + shift) - shift + 1)
+            yield n, _perm_power(rs.tau_table[a], n), shift, ms
+
+    # Items ii and v act by powers of tau_a on KR elements of every vertex:
+    # one apply_outer call per distinct permutation, before any item is
+    # recorded; each vertex then takes its images in the order asked.
+    asked = {}
     for a in grid.vertices:
         ta = rs.t[a - 1]
-        kappa = k + rs.dual_coxeter
+        grid.fill(a, max(clamp(2 * M * ta * kappa - 1), ta * k))
+        low = range(clamp(ta * k) + 1)
+        asked.setdefault(rs.tau_table[a], []).extend(
+            conjugate(ctx, grid.get(a, m)) for m in low
+        )
+        for _, perm, _, ms in powers(a):
+            asked.setdefault(perm, []).extend(grid.get(a, m) for m in ms)
+    images = {perm: iter(apply_outer(ctx, perm, got)) for perm, got in asked.items()}
+
+    for a in grid.vertices:
+        ta = rs.t[a - 1]
         period = ta * kappa
-        M = period_multiplier(rs)
         tau = rs.tau_table[a]
         sigma = rs.sigma_table[a]
         full = M * period
 
-        grid.fill(a, max(clamp(2 * full - 1), ta * k))
         for m in range(clamp(ta * k) + 1):
             rep.add("i", a, m, _is_positive(grid.get(a, m)))
-        low = range(clamp(ta * k) + 1)
-        mirrored = [conjugate(ctx, grid.get(a, m)) for m in low]
-        for m, rhs in zip(low, apply_outer(ctx, tau, mirrored)):
-            rep.add("ii", a, m, grid.get(a, ta * k - m) == rhs)
+        for m in range(clamp(ta * k) + 1):
+            rep.add("ii", a, m, grid.get(a, ta * k - m) == next(images[tau]))
         current = [0] * (rs.rank + 1)
         current[tau[0]] = k
         rep.add("iii", a, ta * k, grid.get(a, ta * k) == ctx.basis_element(current))
         for m in range(ta * k + 1, clamp(period - 1) + 1):
             rep.add("iv", a, m, not grid.get(a, m))
-        for n in range(1, M + 1):
-            perm = _perm_power(tau, n)
-            shift = n * period
-            ms = range(clamp(period - 1 + shift) - shift + 1)
-            images = apply_outer(ctx, perm, [grid.get(a, m) for m in ms])
-            for m, image in zip(ms, images):
+        for n, perm, shift, ms in powers(a):
+            for m in ms:
                 lhs = grid.get(a, m + shift)
-                rep.add("v", a, m + shift, lhs == sigma**n * image)
+                rep.add("v", a, m + shift, lhs == sigma**n * next(images[perm]))
         for m in range(clamp(full - 1) + 1):
             rep.add("sign", a, m, _sign_definite(grid.get(a, m)))
         for m in range(clamp(full - 1 + full) - full + 1):

@@ -74,7 +74,9 @@ def test_marks_and_comarks(key, make_rs):
     assert rs.marks[0] == rs.comarks[0] == 1
 
 
-@pytest.mark.parametrize("key", sorted(NUMBERS))
+@pytest.mark.parametrize(
+    "key", sorted(NUMBERS), ids=lambda key: "-".join(map(str, key))
+)
 def test_coxeter_numbers(key, make_rs):
     rs = make_rs(*key)
     h, hv, npos, idx = NUMBERS[key]

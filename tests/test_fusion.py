@@ -428,6 +428,27 @@ def _all_pairs(ctx):
     return [(la, mu) for la in ctx.basis for mu in ctx.basis]
 
 
+def _stored(ctx):
+    """The context's product table as {(la, mu): terms dict}, la <= mu, in
+    the table's pair order, read straight from its arrays."""
+    table = ctx._table
+    out = {}
+    for p, key in enumerate(table.keys.tolist()):
+        la, mu = (ctx.basis[ctx._by_affine[r]] for r in divmod(key, table.n))
+        rows = slice(table.starts[p], table.starts[p + 1])
+        labels = [ctx.basis[j] for j in table.terms[rows].tolist()]
+        out[la, mu] = dict(zip(labels, table.coeffs[rows].tolist()))
+    return out
+
+
+def _assert_same_table(found, expect):
+    """Two _stored tables are equal, pairs and terms in the same order."""
+    assert found == expect
+    assert list(found) == list(expect)
+    for key, terms in expect.items():
+        assert list(found[key]) == list(terms)
+
+
 @pytest.mark.parametrize(
     "family,rank,level",
     [
@@ -456,9 +477,11 @@ def test_basis_products_match_scalar_reference(
     asked = pairs + [(mu, la) for la, mu in pairs[::-1]] + pairs[:3] * 2
     asked += [(unit, unit), (pairs[-1][0], unit)]
     found = fusion.basis_products(batched, asked)
-    assert found == [batched._products[min(p), max(p)] for p in asked]
-    assert len(batched._products) == len(batched.basis) * (len(batched.basis) + 1) // 2
-    for terms in batched._products.values():
+    stored = _stored(batched)
+    assert found == [stored[min(p), max(p)] for p in asked]
+    assert len(stored) == len(batched.basis) * (len(batched.basis) + 1) // 2
+    assert list(stored) == sorted(stored)
+    for terms in stored.values():
         assert list(terms) == sorted(terms)
     for la, mu in _all_pairs(batched):
         expect = _scalar_product(batched, la, mu)
@@ -524,9 +547,7 @@ def test_basis_products_in_small_chunks(
     monkeypatch.setattr(fusion, "_CHUNK_NUMBERS", rows)
     chunked = FusionContext(make_rs(family, rank), level)
     fusion.basis_products(chunked, _all_pairs(chunked))
-    assert chunked._products == full._products
-    for key, terms in full._products.items():
-        assert list(chunked._products[key]) == list(terms)
+    _assert_same_table(_stored(chunked), _stored(full))
 
 
 def _kac_walton_products(ctx, keys):
@@ -546,6 +567,19 @@ def _kac_walton_products(ctx, keys):
         for (key, _), terms in zip(members, fusion._table_terms(ctx, table)):
             out[key] = terms
     return out
+
+
+def _kac_walton_rows(ctx, a, b):
+    """What _derived_products returns for the basis-index pairs (a, b), by
+    the Kac-Walton reference."""
+    keys = [(ctx.basis[i], ctx.basis[j]) for i, j in zip(a.tolist(), b.tolist())]
+    found = _kac_walton_products(ctx, keys)
+    rows = [found[key] for key in keys]
+    sizes = [len(row) for row in rows]
+    terms = [ctx.basis_index[w] for row in rows for w in row]
+    coeffs = [c for row in rows for c in row.values()]
+    part = range(len(a)), sizes, terms, coeffs
+    return [tuple(np.array(x, dtype=np.int64) for x in part)]
 
 
 @pytest.mark.parametrize(
@@ -576,9 +610,7 @@ def test_one_pair_per_call_matches_the_whole_table(family, rank, level, make_rs)
     pairs = _all_pairs(single)
     for k in np.random.default_rng(3).permutation(len(pairs)):
         fusion.basis_products(single, [pairs[k]])
-    assert single._products == whole._products
-    for key, terms in whole._products.items():
-        assert list(single._products[key]) == list(terms)
+    _assert_same_table(_stored(single), _stored(whole))
 
 
 # Faults in fundamental rows of A2 k3: (row kappa, term added) of N_1 for
@@ -625,7 +657,7 @@ def test_fundamental_row_faults_store_nothing(fault, make_rs, monkeypatch):
         pairs = _all_pairs(ctx)
     with pytest.raises(AssertionError, match=match):
         fusion.basis_products(ctx, pairs)
-    assert not ctx._products
+    assert len(ctx._table.keys) == 0
 
 
 def test_float_bound_is_checked_before_storing(make_rs, monkeypatch):
@@ -635,7 +667,7 @@ def test_float_bound_is_checked_before_storing(make_rs, monkeypatch):
     ctx = FusionContext(make_rs("A", 2), 3)
     with pytest.raises(AssertionError, match="too large for exact float64"):
         fusion.basis_products(ctx, _all_pairs(ctx))
-    assert not ctx._products
+    assert len(ctx._table.keys) == 0
 
 
 def test_cache_bytes_match_the_kac_walton_reference(
@@ -645,7 +677,7 @@ def test_cache_bytes_match_the_kac_walton_reference(
     the Kac-Walton reference: for every pair of A3 k3, and for the pairs
     that a cold verify C3 k3 stores."""
     written = []
-    for derive in (fusion._derived_products, _kac_walton_products):
+    for derive in (fusion._derived_products, _kac_walton_rows):
         monkeypatch.setattr(fusion, "_derived_products", derive)
         ring = FusionContext(make_rs("A", 3), 3, cache_dir=str(tmp_path / "ring"))
         fusion.basis_products(ring, _all_pairs(ring))
@@ -721,7 +753,7 @@ def test_basis_products_peak_memory_follows_the_row_budget(make_rs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ctx._products) == 126 * 127 // 2
+    assert len(ctx._table.keys) == 126 * 127 // 2
     assert peak < 8 * 2**20
 
 
@@ -885,8 +917,12 @@ def test_apply_outer_names_a_disagreeing_weight(make_rs):
     w = (1, 1, 0)
     (image,) = apply_outer(ctx, perm, [w])
     assert image == ctx.basis_element((0, 1, 1))
-    key = min(current, w), max(current, w)
-    ctx._products[key] = {(1, 0, 1): 1}
+    table = ctx._table
+    (at,), starts, _, _ = fusion.basis_product_rows(
+        ctx, [ctx.basis_index[current]], [ctx.basis_index[w]]
+    )
+    assert starts[at + 1] - starts[at] == 1
+    table.terms[starts[at]] = ctx.basis_index[(1, 0, 1)]
     elems = [ctx.basis_element((0, 0, 2)), ctx.basis_element(w) + ctx.unit()]
     with pytest.raises(AssertionError) as err:
         apply_outer(ctx, perm, elems)
@@ -962,9 +998,10 @@ def test_product_cache_round_trip(tmp_path, make_rs):
         first.save_cache()
         assert len(os.listdir(cache_dir)) == 1, "cache file should be written"
         second = FusionContext(rs, level, cache_dir=cache_dir)
-        assert second._products == first._products
-        for key, terms in first._products.items():
-            assert list(second._products[key]) == list(terms)
+        expect = _stored(first)
+        n = len(first.basis)
+        assert len(expect) == (n * (n + 1) // 2 if row is None else n)
+        _assert_same_table(_stored(second), expect)
 
 
 def test_product_cache_in_the_old_layout_is_rebuilt(tmp_path, make_rs):
@@ -977,17 +1014,19 @@ def test_product_cache_in_the_old_layout_is_rebuilt(tmp_path, make_rs):
         ",".join(map(str, a)) + "|" + ",".join(map(str, b)): [
             [list(w), c] for w, c in terms.items()
         ]
-        for (a, b), terms in sorted(probe._products.items())
+        for (a, b), terms in _stored(probe).items()
     }
     with open(probe._cache_path(), "w") as fh:
         json.dump({"products": old}, fh)
     ctx = FusionContext(rs, 3, cache_dir=str(tmp_path))
-    assert not ctx._products
+    assert len(ctx._table.keys) == 0
     fusion.basis_products(ctx, _all_pairs(ctx))
     ctx.save_cache()
     with open(probe._cache_path()) as fh:
         assert sorted(json.load(fh)) == ["coeffs", "pairs", "sizes", "terms"]
-    assert FusionContext(rs, 3, cache_dir=str(tmp_path))._products == probe._products
+    assert len(_stored(probe)) == 10 * 11 // 2
+    reloaded = FusionContext(rs, 3, cache_dir=str(tmp_path))
+    _assert_same_table(_stored(reloaded), _stored(probe))
 
 
 def _on_terms(edit, pair=None):
@@ -1076,5 +1115,5 @@ def test_product_cache_ignores_garbage(tmp_path, make_rs, corruption):
         la, mu = corrupt(probe, raw)
         path.write_text(json.dumps(raw))
     ctx = FusionContext(rs, 3, cache_dir=str(tmp_path))
-    assert not ctx._products
+    assert len(ctx._table.keys) == 0
     assert fusion_product(ctx, la, mu) == fusion_product(FusionContext(rs, 3), la, mu)
