@@ -159,6 +159,15 @@ def _ranges(starts, sizes):
     return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
+def _search_sorted(known, queries):
+    """np.searchsorted(known, queries), with the queries searched in sorted
+    order: several times faster for many unsorted queries."""
+    order = np.argsort(queries)
+    at = np.empty_like(order)
+    at[order] = np.searchsorted(known, queries[order])
+    return at
+
+
 def _find(known, keys):
     """Each key's position in the sorted array known, or -1 where it is
     absent."""
@@ -352,10 +361,10 @@ class FusionContext:
             la, mu = pairs[owner].T
             have, want = key(la, mu, terms), key(la, bar[terms], bar[mu])
             order = np.argsort(have)
-            at = order[np.searchsorted(have[order], want).clip(max=len(have) - 1)]
+            at = order[_search_sorted(have[order], want).clip(max=len(have) - 1)]
             wrong = (have[at] != want) | (coeffs[at] != coeffs)
             partner = key(la, bar[terms])
-            near = np.searchsorted(pair_keys, partner).clip(max=len(pairs) - 1)
+            near = _search_sorted(pair_keys, partner).clip(max=len(pairs) - 1)
             if (wrong & (pair_keys[near] == partner)).any():
                 raise ValueError("reciprocity fails")
         except (OSError, ValueError, KeyError, TypeError):

@@ -4,8 +4,10 @@ This is the floating-point cross-check layer for the exact fusion engine.
 Every family takes one path.  The Weyl group is the union of cosets W_J u
 of a classical Levi subgroup W_J (all of W for A-D), and each coset gives a
 Weyl-denominator determinant of the Levi type in epsilon-coordinates
-(Kac-Peterson) times one exact phase for the part orthogonal to J.  Work
-goes in blocks sized from _BLOCK_BYTES.  The explicit Weyl-group sum
+(Kac-Peterson) times one exact phase for the part orthogonal to J.  With
+one coset the determinants are the shared minors of one small table per
+column; the coset-moved rows of E, F and G take np.linalg.det.  Work goes
+in blocks sized from _BLOCK_BYTES.  The explicit Weyl-group sum
 (weyl_group, smatrix_entry) is the reference it is tested against.
 """
 
@@ -20,7 +22,7 @@ from .cartan import build_root_system
 from .fusion import FusionElement
 
 _WEYL_RANK_CAP = 6
-# Working-set budget for one block of cosets or of determinant rows.
+# Working-set budget for one block of cosets, determinant rows or minor columns.
 _BLOCK_BYTES = 1 << 24
 # Classical Levi: family, rank, parent vertices J (1-based) in the Levi's order.
 _LEVI = {
@@ -161,13 +163,81 @@ def _levi_cosets(rs):
     return levi, J, np.stack(mats), np.array(signs, dtype=np.int64)
 
 
-def _determinant_sum(rs, kappa, rows, cols):
+def _distinct(keys):
+    """The sorted distinct values of keys, and the place of one of each."""
+    order = np.argsort(keys, kind="stable")
+    first = np.r_[True, keys[order[1:]] != keys[order[:-1]]]
+    return keys[order[first]], order[first]
+
+
+def _shared_minors(X, values, Y, modulus, table):
+    """det[table[X_ra Y_cb mod modulus]]_{a,b} for every row r and column c.
+
+    Row r's matrix is the maximal minor of T_c[v, b] = table[v Y_cb mod
+    modulus] at the rows of its values v (out of the sorted distinct
+    values), times the sign of the permutation that sorts them; a repeated
+    value gives 0.  The minors are built by Laplace expansion along the
+    columns: level j holds the j-subsets that the rows' subsets reach by
+    dropping values, each keyed by its bitmask over the values.
+    """
+    N, m = X.shape
+    idx = np.searchsorted(values, X)
+    srt = np.sort(idx, axis=1)
+    good = (srt[:, 1:] != srt[:, :-1]).all(1)
+    idx, srt = idx[good], srt[good]
+    a, b = np.triu_indices(m, 1)
+    sign = 1 - 2 * ((idx[:, a] > idx[:, b]).sum(1) % 2)
+    keys = np.bitwise_or.reduce(np.int64(1) << srt, axis=1)
+    level, first = _distinct(keys)
+    at, members, levels = np.searchsorted(level, keys), srt[first], []
+    for j in range(m, 1, -1):
+        child = level[:, None] ^ (np.int64(1) << members)  # drop member i
+        level, first = _distinct(child.ravel())
+        levels.append((members, np.searchsorted(level, child)))
+        drop = np.arange(j) != (first % j)[:, None]
+        members = members[first // j][drop].reshape(-1, j - 1)
+    out = np.zeros((N, len(Y)), dtype=table.dtype)
+    # Per column: the table and its int64 indices, the gathered rows, one
+    # level of minors and its gathered terms.
+    widest = max([len(members)] + [len(mem) for mem, _ in levels])
+    step = max(1, _BLOCK_BYTES // (24 * m * len(values) + 80 * widest + 32 * N))
+    for lo in range(0, len(Y), step):
+        T = table[(values[None, :, None] * Y.T[:, None, lo : lo + step]) % modulus]
+        minors = T[0][members[:, 0]]
+        for j, (mem, child) in enumerate(reversed(levels), 2):
+            acc = np.zeros((len(mem), minors.shape[1]), dtype=table.dtype)
+            for i in range(j):
+                term = T[j - 1][mem[:, i]]
+                term *= minors[child[:, i]]
+                (np.add if (i + j) % 2 else np.subtract)(acc, term, out=acc)
+            minors = acc
+        out[good, lo : lo + step] = minors[at] * sign[:, None]
+    return out
+
+
+def _family_det(fam, m, roots, det):
+    """The Weyl-denominator determinant of a classical family from det, the
+    determinants of one table of values indexed by the phases."""
+    if fam == "A":
+        return det(roots)
+    # exp(-i t) - exp(i t) = 2i Im(exp(-i t)) is the sine entry.
+    block = (2j) ** m * det(roots.imag)
+    if fam == "D":
+        # Even sign changes only: half the sine plus the cosine
+        # determinant, exp(-i t) + exp(i t) = 2 Re(exp(-i t)).
+        block = 0.5 * (block + 2.0**m * det(roots.real))
+    return block
+
+
+def _determinant_sum(rs, kappa, rows, cols, shared=False):
     """Weyl sums of all pairs of integer label rows and columns as
     Weyl-denominator determinants.
 
     x = E(row) and y = E(col) are scaled by the common denominator of E to
     integer vectors, so every phase c x_i y_j / kappa is an integer over one
-    modulus and is read from one table of roots of unity.
+    modulus and is read from one table of roots of unity.  With shared, the
+    determinants are the shared minors of one small table per column
+    (_shared_minors), else one np.linalg.det per pair.
     """
     E, c = _epsilon_map(rs)
     den = math.lcm(*(x.denominator for row in E for x in row))
@@ -179,6 +249,17 @@ def _determinant_sum(rs, kappa, rows, cols):
     modulus = int(den * den * kappa / c)
     roots = np.exp(-2j * np.pi * np.arange(modulus) / modulus)
     fam = rs.type.family
+    if shared:
+        if fam == "A":
+            # Each column sums to 0 in A, so shifting a row by a constant
+            # multiplies its determinant by exp(0): its values drop into
+            # the kappa multiples 0, den, ..., (kappa - 1) den.
+            X -= X.min(1, keepdims=True)
+        values = _distinct(X.ravel())[0]
+        if len(values) <= 64:  # the bitmask keys fit in an int64
+            return _family_det(
+                fam, m, roots, lambda t: _shared_minors(X, values, Y, modulus, t)
+            )
     total = np.empty((len(X), n), dtype=np.complex128)
     # Per row: n int64 index matrices and one gathered complex stack
     # (24 bytes per matrix entry), with headroom for numpy temporaries.
@@ -186,16 +267,9 @@ def _determinant_sum(rs, kappa, rows, cols):
     for lo in range(0, len(X), step):
         idx = X[lo : lo + step, None, :, None] * Y[None, :, None, :]
         idx %= modulus  # (step, n, m, m)
-        if fam == "A":
-            block = np.linalg.det(roots[idx])
-        else:
-            # exp(-i t) - exp(i t) = 2i Im(exp(-i t)) is the sine entry.
-            block = (2j) ** m * np.linalg.det(roots.imag[idx])
-            if fam == "D":
-                # Even sign changes only: half the sine plus the cosine
-                # determinant, exp(-i t) + exp(i t) = 2 Re(exp(-i t)).
-                block = 0.5 * (block + 2.0**m * np.linalg.det(roots.real[idx]))
-        total[lo : lo + step] = block
+        total[lo : lo + step] = _family_det(
+            fam, m, roots, lambda tab: np.linalg.det(tab[idx])
+        )
     return total
 
 
@@ -215,7 +289,9 @@ def build_smatrix(ctx):
     for lo in range(0, len(signs), step):
         moved = np.einsum("uij,nj->uni", mats[lo : lo + step], shifted)
         moved = moved.reshape(-1, rs.rank)
-        block = _determinant_sum(levi, kappa, moved[:, J], shifted[:, J])
+        block = _determinant_sum(
+            levi, kappa, moved[:, J], shifted[:, J], shared=len(signs) == 1
+        )
         phases = (moved @ orth @ shifted.T) % (den * kappa)
         block *= np.exp(-2j * np.pi / (den * kappa) * phases)
         block = block.reshape(-1, n, n)

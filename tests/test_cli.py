@@ -181,10 +181,14 @@ def test_smatrix_e7(capsys):
     assert len(json.loads(out)["matrix"]) == 6
 
 
-# SHA-256 of stdout, recorded from the Weyl-sum S-matrix code.  verify
-# reports are pinned for every family; smatrix JSON only for A-D, whose
-# matrices are bit-identical, while E-G entries move in their last digits.
-# ring tables are pinned for every family, recorded from per-pair products.
+# SHA-256 of stdout.  verify reports, recorded from the Weyl-sum S-matrix
+# code, are pinned for every family.  smatrix JSON is pinned only for A-D,
+# recorded from the shared-minor determinants: the 15 significant digits it
+# prints show the float noise of the determinant method (most strings that
+# moved from the np.linalg.det path were near-zero imaginary parts), so
+# test_smatrix.py::test_shared_minors_match_det_path holds these four
+# matrices to that path within 1e-14.  ring tables are pinned for every
+# family, recorded from per-pair products.
 OUTPUT_DIGESTS = {
     ("verify", "A", 3, 3):
         "8e58e41ae75639f0a64744353dd76f590c9d5479d485df0a648aad82edbafc30",
@@ -201,13 +205,13 @@ OUTPUT_DIGESTS = {
     ("verify", "E", 6, 4):
         "f61aca08431133c97eb7c3bdc265d10f4f495f0895644a04bfdcd9bcb3132efc",
     ("smatrix", "A", 3, 3):
-        "dc06c89b1f76bf31d097b18f19d21b893c57ffe8bf82266a9e93dba53815d3cf",
+        "9ff0e711608a75c49116ac0ce6b27428722108fdeb5a4a50ae44523333905713",
     ("smatrix", "B", 3, 2):
-        "ecb26d074e437eaa5fc154cce7852fa62bf9fab746284f98d8903d491e98cca0",
+        "5969864724d9078b5e830db4f5fb0da745f0630ceae140460db0908f2a7c7f0a",
     ("smatrix", "C", 3, 2):
-        "81ee15eed769a9074b61ef2db8669339a961eb3f46a540cf08e077df61320e9e",
+        "2da20416eaeab1a3b43bd6df4f7254778f84bb050c38d361f8a3cdf9b4f5e756",
     ("smatrix", "D", 4, 2):
-        "71a35bdf3f2dca91db6e74c4a9f1ee69fbf92c2b4ff70cd627c523b829afe51a",
+        "e7ef59139595a9177ccefcda04262f01e25cb7f665bdb36ec787d0be2df0f3c7",
     ("ring", "A", 2, 3):
         "22e9c818f62d1441f6d49e4d91af8e08780fded4b70240fca6fdfeb8e5ad75c7",
     ("ring", "B", 3, 2):

@@ -704,21 +704,20 @@ def _probe_items(ctx, sm, grid, solution, tol):
 def test_kns_probe_items_match_per_probe(key, make_ctx, make_sm):
     """Item by item, the probe-weight items equal the per-probe reference,
     and close the report: with the default tolerance (some probes skipped
-    on B, C and D) and with a tolerance so small that most items fail."""
+    on B, C and D), with a tolerance near rounding, and with a negative
+    tolerance that no item can meet, so every probe item fails."""
     ctx = make_ctx(*key)
     sm = make_sm(*key)
     grid = WGrid(ctx)
     sol = restricted_solution(ctx, grid=grid)
     probe_ids = {"probe", "qdim-match", "qdim-sym", "qdim-boundary", "qdim-zero"}
-    for tol in (1e-9, 1e-15):
+    for tol in (1e-9, 1e-15, -1.0):
         items = kns_report(ctx, sm, grid=grid, solution=sol, tol=tol).report.items
         expect = _probe_items(ctx, sm, grid, sol, tol)
         assert items[len(items) - len(expect) :] == expect
         assert not {i["id"] for i in items[: len(items) - len(expect)]} & probe_ids
         statuses = {i["status"] for i in expect}
-        assert "pass" in statuses
-        if tol < 1e-12:
-            assert "fail" in statuses
+        assert statuses == {"fail"} if tol < 0 else "pass" in statuses
 
 
 def test_kns_b2(make_ctx, make_sm):

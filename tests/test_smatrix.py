@@ -24,8 +24,15 @@ from fusionq import (
     verlinde_matrix,
     weyl_group,
 )
+from fusionq import smatrix
 from fusionq.fusion import _quantum_dimensions
-from fusionq.smatrix import _BLOCK_BYTES, _epsilon_map, _levi_cosets
+from fusionq.smatrix import (
+    _BLOCK_BYTES,
+    _determinant_sum,
+    _epsilon_map,
+    _levi_cosets,
+    _shared_minors,
+)
 
 WEYL_ORDERS = {
     ("A", 2): 6,
@@ -44,7 +51,9 @@ WEYL_ORDERS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(WEYL_ORDERS))
+@pytest.mark.parametrize(
+    "key", sorted(WEYL_ORDERS), ids=lambda key: "-".join(map(str, key))
+)
 def test_weyl_group_order(key, make_rs):
     mats, signs = weyl_group(make_rs(*key))
     n = WEYL_ORDERS[key]
@@ -142,6 +151,61 @@ def test_determinant_matches_weyl_sum(family, rank, level, make_ctx):
     assert np.max(np.abs(det - ref)) <= 1e-12
 
 
+def _det_path_smatrix(ctx, monkeypatch):
+    """build_smatrix with every determinant from np.linalg.det."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            smatrix, "_determinant_sum", lambda *args, shared: _determinant_sum(*args)
+        )
+        return build_smatrix(ctx).matrix
+
+
+@pytest.mark.parametrize("block_bytes", [_BLOCK_BYTES, 1 << 14, 1])
+@pytest.mark.parametrize("family,rank", CLASSICAL)
+def test_shared_minors_match_det_path(family, rank, block_bytes, make_ctx, monkeypatch):
+    """The one-coset S-matrix from shared minors equals the np.linalg.det
+    path, also in column blocks of a few columns or of one.  This holds the
+    four S-matrices whose smatrix JSON is pinned in OUTPUT_DIGESTS (A3 k3,
+    B3 k2, C3 k2, D4 k2) to that path within 1e-14."""
+    for level in (1, 2, 3):
+        ctx = make_ctx(family, rank, level)
+        ref = _det_path_smatrix(ctx, monkeypatch)
+        monkeypatch.setattr(smatrix, "_BLOCK_BYTES", block_bytes)
+        assert np.max(np.abs(build_smatrix(ctx).matrix - ref)) <= 1e-14
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("block_bytes", [_BLOCK_BYTES, 1])
+def test_shared_minors_hand_made_rows(block_bytes, monkeypatch):
+    """Rows in unsorted value order take the sign of their sorting
+    permutation, and a row with a repeated value is exactly 0."""
+    monkeypatch.setattr(smatrix, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(5)
+    modulus = 13
+    table = rng.normal(size=modulus) + 1j * rng.normal(size=modulus)
+    X = np.array([
+        [0, 2, 4, 9], [9, 4, 2, 0], [2, 0, 4, 9], [0, 9, 4, 2],  # one subset
+        [11, 3, 7, 1], [1, 3, 7, 11],
+        [4, 4, 9, 2], [0, 2, 9, 2], [7, 7, 7, 7],  # repeated values
+    ])
+    Y = np.array([[1, 2, 3, 5], [2, 7, 1, 8], [-3, 4, 6, -1], [5, -2, 9, 4]])
+    got = _shared_minors(X, np.unique(X), Y, modulus, table)
+    want = np.linalg.det(table[(X[:, None, :, None] * Y[None, :, None, :]) % modulus])
+    assert np.all(np.abs(want[:6]) > 1e-3)
+    assert np.max(np.abs(got[:6] - want[:6])) <= 1e-12
+    # Reversed order is an even permutation of four; the others are odd.
+    assert np.array_equal(got[1], got[0])
+    assert np.array_equal(got[2], -got[0]) and np.array_equal(got[3], -got[0])
+    assert np.all(got[6:] == 0)
+    # Many random rows, most with a repeated value, share their subsets.
+    X = rng.integers(0, 7, size=(300, 4))
+    got = _shared_minors(X, np.unique(X), Y, modulus, table)
+    want = np.linalg.det(table[(X[:, None, :, None] * Y[None, :, None, :]) % modulus])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    repeated = (np.diff(np.sort(X, axis=1), axis=1) == 0).any(1)
+    assert 0 < repeated.sum() < len(X) and np.all(got[repeated] == 0)
+
+
 @pytest.mark.parametrize(
     "family,rank",
     [("A", r) for r in range(1, 10)]
@@ -227,9 +291,12 @@ def test_unitarity_and_symmetry(family, rank, level, make_sm):
     assert sm.symmetry_residual() < 1e-9
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 62, 63])
 def test_su2_closed_form(level, make_ctx):
-    """S_ab = sqrt(2/(k+2)) sin(pi (a+1)(b+1)/(k+2)) in spin labels."""
+    """S_ab = sqrt(2/(k+2)) sin(pi (a+1)(b+1)/(k+2)) in spin labels.  At
+    level 62 the rows have 64 distinct values, the most the int64 bitmask
+    keys of the shared minors hold (the last one sets the sign bit); at
+    level 63 they have 65, so the np.linalg.det path builds S."""
     ctx = make_ctx("A", 1, level)
     sm = build_smatrix(ctx)
     kappa = level + 2
