@@ -137,7 +137,7 @@ def cmd_smatrix(args):
     """Write the S-matrix as JSON or CSV and print the unitarity residual."""
     ctx = _context(args)
     sm = build_smatrix(ctx)
-    residual = sm.unitarity_residual()
+    residual = sm.residual
     if args.format == "json":
         obj = {
             "family": ctx.rs.type.family,

@@ -1,13 +1,14 @@
 """Level-k fusion rings via alcove reduction and the Kac-Walton rule.
 
-A FusionContext fixes a root system and a level k.  Ring elements are
-integer combinations of the dominant affine weights of that level; products
-are evaluated exactly.  The Kac-Walton rule gives the rows of the
-fundamental fusion matrices: tensor-product weights are pushed back into
-the fundamental alcove by shifted affine Weyl reflections, with signs, and
-the surviving terms accumulate integer coefficients.  Every other basis
-product follows from those rows by an exact recursion over the basis in
-height order.
+A FusionContext fixes a root system and a level k.  A ring element is an
+int64 row of length n over ctx.basis, the dominant affine weights of that
+level: entry j is the coefficient of basis[j], and an array of shape
+(..., n) holds several elements.  Products are evaluated exactly.  The
+Kac-Walton rule gives the rows of the fundamental fusion matrices:
+tensor-product weights are pushed back into the fundamental alcove by
+shifted affine Weyl reflections, with signs, and the surviving terms
+accumulate integer coefficients.  Every other basis product follows from
+those rows by an exact recursion over the basis in height order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -49,68 +49,6 @@ class ReducedWeight(NamedTuple):
 
     sign: int
     weight: tuple | None
-
-
-class FusionElement:
-    """An integer combination of level-k basis weights.
-
-    Immutable by convention: term dicts are rebuilt, never mutated in place.
-    Addition and scalar multiplication live here; ring multiplication needs
-    the context and lives in fusion_product.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = {w: c for w, c in sorted(terms.items()) if c}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, FusionElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return FusionElement(out)
-
-    def __neg__(self):
-        return FusionElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        return FusionElement({w: n * c for w, c in self.terms.items()})
-
-    def coeff(self, w):
-        return self.terms.get(tuple(w), 0)
-
-    def support(self):
-        return tuple(self.terms)
-
-    def relabel(self, perm):
-        """Push every basis weight through a vertex permutation."""
-        out = {}
-        for w, c in self.terms.items():
-            new = [0] * len(w)
-            for i, wi in enumerate(w):
-                new[perm[i]] = wi
-            out[tuple(new)] = c
-        return FusionElement(out)
-
-    def __repr__(self):
-        if not self.terms:
-            return "FusionElement(0)"
-        bits = [f"{c:+d}*V{list(w)}" for w, c in self.terms.items()]
-        return "FusionElement(" + " ".join(bits) + ")"
 
 
 def enumerate_basis(rs, level):
@@ -195,13 +133,6 @@ class _ProductTable:
         self.terms = np.empty(0, dtype=np.int64)
         self.coeffs = np.empty(0, dtype=np.int64)
 
-    def rows(self, at):
-        """The products of the pairs at in CSR form, as int lists (sizes,
-        terms, coeffs)."""
-        sizes = self.starts[at + 1] - self.starts[at]
-        ranges = _ranges(self.starts[at], sizes)
-        return sizes.tolist(), self.terms[ranges].tolist(), self.coeffs[ranges].tolist()
-
     def add(self, parts):
         """Merge the products of new pairs, given as parts (keys, sizes,
         terms, coeffs) in any order: pair i of a part has the key keys[i]
@@ -278,34 +209,45 @@ class FusionContext:
     # -- element constructors -------------------------------------------------
 
     def element(self, terms):
-        """Build an element from a terms dict, validating basis membership."""
-        clean = {}
+        """The row of a terms dict {basis weight: int}, validating basis
+        membership and integer coefficients."""
+        row = self.zero()
         for w, c in terms.items():
             w = tuple(w)
             if w not in self.basis_index:
                 raise ValueError(f"{w} is not a level-{self.level} basis weight")
             if not isinstance(c, int):
                 raise ValueError(f"coefficient {c!r} is not an integer")
-            clean[w] = c
-        return FusionElement(clean)
+            row[self.basis_index[w]] = c
+        return row
 
     def basis_element(self, w):
         return self.element({tuple(w): 1})
 
     def zero(self):
-        return FusionElement({})
+        return np.zeros(len(self.basis), dtype=np.int64)
 
     def unit(self):
-        return FusionElement({self.unit_weight: 1})
+        return self.basis_element(self.unit_weight)
 
-    def coefficients(self, elems):
-        """Int64 matrix whose entry (i, j) is the coefficient of basis[j]
-        in elems[i]."""
-        out = np.zeros((len(elems), len(self.basis)), dtype=np.int64)
-        for i, u in enumerate(elems):
-            for w, c in u.terms.items():
-                out[i, self.basis_index[w]] = c
-        return out
+    def _rows(self, u, lead=None):
+        """u as int64 rows over the basis: an array of shape lead + (n,),
+        where -1 in lead matches any length, or of any shape ending in n if
+        lead is None.  Anything else raises ValueError, a bare weight tuple
+        included."""
+        n = len(self.basis)
+        u = np.asarray(u)
+        if u.size == 0 and lead is not None:
+            u = np.zeros([max(d, 0) for d in lead] + [n], dtype=np.int64)
+        want = u.shape[:-1] if lead is None else tuple(lead)
+        if (
+            u.shape[-1:] != (n,)
+            or u.ndim != len(want) + 1
+            or any(d not in (-1, s) for d, s in zip(want, u.shape))
+            or u.dtype.kind != "i"
+        ):
+            raise ValueError(f"not int rows of length {n} over the basis: {u.shape}")
+        return u.astype(np.int64, copy=False)
 
     # -- product cache persistence -------------------------------------------
 
@@ -356,8 +298,7 @@ class FusionContext:
             rhs = np.bincount(owner, coeffs * dim[terms], minlength=len(pairs))
             if (np.abs(lhs - rhs) > _CACHE_DIM_RTOL * lhs).any():
                 raise ValueError("quantum dimensions disagree")
-            flip = self._basis_rows[:, np.argsort(self.rs.conj_perm)]
-            bar = np.array([self.basis_index[w] for w in map(tuple, flip.tolist())])
+            bar = _relabeled(self, self.rs.conj_perm)
             la, mu = pairs[owner].T
             have, want = key(la, mu, terms), key(la, bar[terms], bar[mu])
             order = np.argsort(have)
@@ -555,8 +496,17 @@ def _basis_indices(ctx, rows):
 
 def _reduced_table(ctx, count, total, rows_at):
     """The int64 (count, basis) table of count sums of signed alcove
-    reductions, by basis index; see reduced_terms_many for the arguments.
-    A row with sign 0 adds 0 into the last column."""
+    reductions, by basis index: the one way from weight rows to elements.
+
+    The rows are known by position: rows_at(p), for an int64 array p of
+    positions in [0, total), returns (owner, finite, mults), where row i adds
+    mults[i] * sign_i * V[reduced_i] into sum owner[i], finite is an
+    (len(p), rank) array of finite weights, each affinized to the context's
+    level, and mults None stands for all 1.  The positions go through
+    alcove_reduce_many in slices of at most _REDUCE_ROWS rows, so a caller's
+    sum may be cut across calls: every row adds into its owner's row of the
+    table.  A row with sign 0 adds 0 into the last column.
+    """
     table = np.zeros((count, len(ctx.basis)), dtype=np.int64)
     for start in range(0, total, _REDUCE_ROWS):
         p = np.arange(start, min(start + _REDUCE_ROWS, total))
@@ -580,34 +530,10 @@ def _table_rows(ctx, table):
     return sizes, col, table[owner, col].astype(np.int64)
 
 
-def _terms_dicts(ctx, sizes, terms, coeffs):
-    """Terms dicts of rows in CSR form, given as int lists: row i is the
-    next sizes[i] of the basis indices terms and their coefficients
-    coeffs."""
-    terms, coeffs = map(ctx.basis.__getitem__, terms), iter(coeffs)
-    return [dict(zip(islice(terms, size), islice(coeffs, size))) for size in sizes]
-
-
-def _table_terms(ctx, table):
-    """Terms dicts, each in ascending order, of the rows of a (count, basis)
-    table of integers, int or float."""
-    return _terms_dicts(ctx, *(x.tolist() for x in _table_rows(ctx, table)))
-
-
-def reduced_terms_many(ctx, count, total, rows_at):
-    """Terms dicts, each in ascending order, of count sums of signed alcove
-    reductions; with basis_product_rows, the only way from rows to terms.
-
-    The rows are known by position: rows_at(p), for an int64 array p of
-    positions in [0, total), returns (owner, finite, mults), where row i adds
-    mults[i] * sign_i * V[reduced_i] into sum owner[i], finite is an
-    (len(p), rank) array of finite weights, each affinized to the context's
-    level, and mults None stands for all 1.  The positions go through
-    alcove_reduce_many in slices of at most _REDUCE_ROWS rows, so a caller's
-    sum may be cut across calls: every row adds into its owner's row of one
-    (count, basis) table.
-    """
-    return _table_terms(ctx, _reduced_table(ctx, count, total, rows_at))
+def _terms_text(ctx, cols, coeffs):
+    """The {weight: coeff} text of the terms at basis indices cols, in the
+    given order, for error messages."""
+    return str({ctx.basis[j]: c for j, c in zip(cols.tolist(), coeffs.tolist())})
 
 
 def _kac_walton_table(ctx, small, big):
@@ -674,7 +600,7 @@ def _check_nonnegative(ctx, table, factors):
     bad = np.flatnonzero(table.min(axis=1) < 0)
     if bad.size:
         la, mu = (ctx.basis[f] for f in factors(bad[0]))
-        result = _table_terms(ctx, table[bad[:1]])[0]
+        result = _terms_text(ctx, *_table_rows(ctx, table[bad[:1]])[1:])
         raise AssertionError(f"negative structure constant in {la} * {mu}: {result}")
 
 
@@ -794,13 +720,12 @@ def _derived_products(ctx, a, b):
 
 
 def basis_product_rows(ctx, a, b):
-    """The index-level form of basis_products, for the pairs of basis
-    indices (a[k], b[k]): returns (at, starts, terms, coeffs), where the
-    product of pair k has the basis indices terms[starts[at[k]]:
-    starts[at[k] + 1]], ascending in affine order, with the coefficients
-    coeffs over the same range.
+    """The products of the pairs of basis indices (a[k], b[k]): returns
+    (at, starts, terms, coeffs), where the product of pair k has the basis
+    indices terms[starts[at[k]]:starts[at[k] + 1]], ascending in affine
+    order, with the coefficients coeffs over the same range.
 
-    With basis_products, this is the only way into the product table.
+    This is the only way into the product table.
     Pairs not in it yet are computed first, each unordered pair once, from
     the fundamental matrices N_i of multiplication by V[omega_i], the
     presentation of the ring by its fundamental generators (Gepner 1991).
@@ -840,81 +765,85 @@ def basis_product_rows(ctx, a, b):
     return at, table.starts, table.terms, table.coeffs
 
 
-def basis_products(ctx, pairs):
-    """Terms dicts, each in ascending order, of the basis-pair products in
-    pairs, in request order; see basis_product_rows.  Dicts are built only
-    for the pairs asked for."""
-    pairs = list(pairs)
-    a = np.array([ctx.basis_index[la] for la, _ in pairs], dtype=np.int64)
-    b = np.array([ctx.basis_index[mu] for _, mu in pairs], dtype=np.int64)
-    asked, back = np.unique(basis_product_rows(ctx, a, b)[0], return_inverse=True)
-    found = _terms_dicts(ctx, *ctx._table.rows(asked))
-    return [found[k] for k in back.tolist()]
-
-
 def fusion_products(ctx, pairs):
-    """Ring products of element pairs (or bare basis weights), in order,
-    through one basis_products call over every pair of their terms."""
-    pairs = [
-        [u if isinstance(u, FusionElement) else ctx.basis_element(u) for u in pair]
-        for pair in pairs
-    ]
-    found = iter(
-        basis_products(
-            ctx, [(a, b) for u, v in pairs for a in u.terms for b in v.terms]
-        )
-    )
-    out = []
-    for u, v in pairs:
-        acc = {}
-        for ca in u.terms.values():
-            for cb in v.terms.values():
-                scale = ca * cb
-                for w, c in next(found).items():
-                    acc[w] = acc.get(w, 0) + scale * c
-        out.append(FusionElement(acc))
+    """Ring products of a sequence of row pairs (u, v), as one int64
+    (len(pairs), n) array: one basis_product_rows call over the cross
+    product of each pair's nonzeros, then one np.add.at."""
+    uv = ctx._rows(pairs, (-1, 2))
+    pu, iu = np.nonzero(uv[:, 0])
+    pv, iv = np.nonzero(uv[:, 1])
+    # Nonzero e of a u meets each nonzero of its pair's v, a range of pv.
+    counts = np.bincount(pv, minlength=len(uv))[pu]
+    left = np.repeat(np.arange(len(pu)), counts)
+    right = _ranges(np.searchsorted(pv, pu), counts)
+    owner = pu[left]
+    at, starts, terms, coeffs = basis_product_rows(ctx, iu[left], iv[right])
+    # Every partial sum is at most sum |u| times sum |v| times a coefficient.
+    reach = np.abs(uv).sum(axis=2, dtype=float).prod(axis=1).max(initial=0)
+    if reach * coeffs.max(initial=0) >= _INT64_HEADROOM:
+        raise OverflowError("fusion coefficients too large for exact int64")
+    scale = uv[owner, 0, iu[left]] * uv[owner, 1, iv[right]]
+    sizes = starts[at + 1] - starts[at]
+    span = _ranges(starts[at], sizes)
+    out = np.zeros((len(uv), len(ctx.basis)), dtype=np.int64)
+    add = np.repeat(scale, sizes) * coeffs[span]
+    np.add.at(out, (np.repeat(owner, sizes), terms[span]), add)
     return out
 
 
 def fusion_product(ctx, u, v):
-    """Ring product of two elements (or bare basis weights)."""
+    """Ring product of two rows."""
     return fusion_products(ctx, [(u, v)])[0]
 
 
+def _relabeled(ctx, perm):
+    """The basis index of each basis weight with its vertices relabeled by
+    perm, label i moving to vertex perm[i]."""
+    moved = np.empty_like(ctx._basis_rows)
+    moved[:, list(perm)] = ctx._basis_rows
+    return _basis_indices(ctx, moved)
+
+
 def conjugate(ctx, u):
-    """Image under the ring involution induced by the longest Weyl element."""
-    if not isinstance(u, FusionElement):
-        u = ctx.basis_element(u)
-    return u.relabel(ctx.rs.conj_perm)
+    """Image of rows, of any shape (..., n), under the ring involution
+    induced by the longest Weyl element: a permutation of the columns."""
+    return ctx._rows(u)[..., np.argsort(_relabeled(ctx, ctx.rs.conj_perm))]
 
 
 def apply_outer(ctx, perm, elems):
-    """Act by an extended-diagram automorphism on each of elems (elements
-    or bare basis weights), returning the list of images.
+    """Act by an extended-diagram automorphism on rows elems, of any shape
+    (..., n), returning the images in the same shape.
 
-    The action relabels vertices.  Each basis weight w in the union of the
-    supports is checked first, through one basis_products call: the
-    product of V[w] with the automorphism's simple current must be exactly
-    the relabeled V[w].
+    The action relabels vertices, so it permutes the columns.  Each basis
+    weight w in the union of the supports is checked first, through one
+    basis_product_rows call: the product of V[w] with the automorphism's
+    simple current must be exactly the relabeled V[w].
     """
     rs = ctx.rs
     perm = tuple(perm)
     if perm not in rs.outer_group:
         raise ValueError(f"{perm} is not an extended-diagram automorphism")
-    elems = [u if isinstance(u, FusionElement) else ctx.basis_element(u) for u in elems]
+    elems = ctx._rows(elems)
     current = [0] * (rs.rank + 1)
     current[perm[0]] = ctx.level
     current = tuple(current)
-    support = list(dict.fromkeys(w for u in elems for w in u.terms))
-    found = basis_products(ctx, [(current, w) for w in support])
-    for w, prod in zip(support, found):
-        image = FusionElement({w: 1}).relabel(perm).terms
-        if prod != image:
-            raise AssertionError(
-                f"outer automorphism {perm} disagrees with its simple current "
-                f"{current} at {w}: product {prod}, expected {image}"
-            )
-    return [u.relabel(perm) for u in elems]
+    image = _relabeled(ctx, perm)
+    support = np.flatnonzero(elems.reshape(-1, len(ctx.basis)).any(axis=0))
+    at, starts, terms, coeffs = basis_product_rows(
+        ctx, np.full_like(support, ctx.basis_index[current]), support
+    )
+    lo, hi = starts[at], starts[at + 1]
+    ok = hi - lo == 1
+    ok[ok] = (terms[lo[ok]] == image[support[ok]]) & (coeffs[lo[ok]] == 1)
+    if not ok.all():
+        k = np.flatnonzero(~ok)[0]
+        prod = _terms_text(ctx, terms[lo[k] : hi[k]], coeffs[lo[k] : hi[k]])
+        expect = _terms_text(ctx, image[support[k : k + 1]], np.ones(1, dtype=np.int64))
+        raise AssertionError(
+            f"outer automorphism {perm} disagrees with its simple current "
+            f"{current} at {ctx.basis[support[k]]}: product {prod}, expected {expect}"
+        )
+    return elems[..., np.argsort(image)]
 
 
 def _quantum_dimensions(ctx, weights):

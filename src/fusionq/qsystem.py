@@ -18,12 +18,11 @@ import numpy as np
 
 from .fusion import (
     FusionContext,
-    FusionElement,
+    _reduced_table,
     apply_outer,
     conjugate,
     fusion_product,
     fusion_products,
-    reduced_terms_many,
 )
 from .smatrix import qdim_table
 
@@ -117,12 +116,13 @@ def kr_classical_components(rs, a, m):
 
 
 def kr_element(ctx, a, m):
-    """Fusion-ring image of the classical character of one KR module."""
+    """Fusion-ring image of the classical character of one KR module, as a
+    row over the basis."""
     comps = kr_classical_components(ctx.rs, a, m)
-    (terms,) = reduced_terms_many(
+    (row,) = _reduced_table(
         ctx, 1, len(comps), lambda p: (np.zeros_like(p), comps[p], None)
     )
-    return FusionElement(terms)
+    return row
 
 
 def period_multiplier(rs):
@@ -144,10 +144,11 @@ def period_multiplier(rs):
 class WGrid:
     """Lazy table of KR elements indexed by (vertex, m); m = -1 is zero.
 
-    A miss builds the whole column below it, and callers that know the top
-    m they will read ask for it first with fill, so that a column is
-    reduced in a few batched calls rather than one call per m.  kr_element
-    is the per-m reference.
+    Each vertex has one read-only (m, n) column of rows, W_0, W_1, ...,
+    grown by fill.  A miss builds the whole column below it, and callers
+    that know the top m they will read ask for it first with fill, so that
+    a column is reduced in a few batched calls rather than one call per m.
+    kr_element is the per-m reference.
     """
 
     def __init__(self, ctx, vertices=None):
@@ -158,7 +159,7 @@ class WGrid:
         for a in self.vertices:
             # Fail fast on vertices with no data instead of mid-report.
             kr_classical_components(ctx.rs, a, 1)
-        self._elems = {}
+        self._cols = {}
 
     def default_horizon(self, a):
         rs = self.ctx.rs
@@ -167,34 +168,35 @@ class WGrid:
     def get(self, a, m):
         if m == -1:
             return self.ctx.zero()
-        if (a, m) not in self._elems:
-            self.fill(a, m)
-        return self._elems[a, m]
+        if m < -1:
+            raise IndexError(f"no KR element W_{m}")
+        return self.fill(a, m)[m]
 
     def fill(self, a, top):
-        """Build every missing W_m of vertex a with m <= top, from one draw
-        of the column.  The modules' rows, in order of m, go through one
-        reduced_terms_many call, which may cut a module across slices."""
-        missing = [m for m in range(top + 1) if (a, m) not in self._elems]
-        if not missing:
-            return
-        rows, totals, step = _kr_column(self.ctx.rs, a, missing[-1])
-        ms = np.array(missing)
-        counts = np.searchsorted(totals, ms // step, side="right")
-        ends = np.cumsum(counts)
-        starts = ends - counts
+        """The column W_0, ..., W_top of vertex a, building every missing
+        W_m from one draw of the column.  The modules' rows, in order of m,
+        go through one _reduced_table call, which may cut a module across
+        slices."""
+        col = self._cols.get(a, np.zeros((0, len(self.ctx.basis)), dtype=np.int64))
+        if len(col) <= top:
+            rows, totals, step = _kr_column(self.ctx.rs, a, top)
+            ms = np.arange(len(col), top + 1)
+            counts = np.searchsorted(totals, ms // step, side="right")
+            ends = np.cumsum(counts)
+            starts = ends - counts
 
-        def rows_at(p):
-            # Position p is row p - starts[j] of module W_{ms[j]}.
-            j = np.searchsorted(ends, p, side="right")
-            idx = p - starts[j]
-            fin = rows[idx]
-            fin[:, a - 1] = ms[j] - step * totals[idx]
-            return j, fin, None
+            def rows_at(p):
+                # Position p is row p - starts[j] of module W_{ms[j]}.
+                j = np.searchsorted(ends, p, side="right")
+                idx = p - starts[j]
+                fin = rows[idx]
+                fin[:, a - 1] = ms[j] - step * totals[idx]
+                return j, fin, None
 
-        found = reduced_terms_many(self.ctx, len(ms), int(ends[-1]), rows_at)
-        for m, terms in zip(missing, found):
-            self._elems[a, m] = FusionElement(terms)
+            found = _reduced_table(self.ctx, len(ms), int(ends[-1]), rows_at)
+            col = self._cols[a] = np.concatenate((col, found))
+            col.flags.writeable = False
+        return col[: top + 1]
 
 
 # -- reports ------------------------------------------------------------------
@@ -265,13 +267,20 @@ def _neighbors(rs, a):
     return [(b, -row[b - 1]) for b in range(1, rs.rank + 1) if row[b - 1] < 0]
 
 
-def _sign_definite(elem):
-    signs = {1 if c > 0 else -1 for c in elem.terms.values()}
-    return len(signs) <= 1
+def _sign_definite(rows):
+    """Per row of an (m, n) array: no two coefficients of opposite sign."""
+    return ~((rows > 0).any(axis=1) & (rows < 0).any(axis=1))
 
 
-def _is_positive(elem):
-    return bool(elem) and all(c > 0 for c in elem.terms.values())
+def _is_positive(rows):
+    """Per row of an (m, n) array: nonzero, with no negative coefficient."""
+    return rows.any(axis=1) & (rows >= 0).all(axis=1)
+
+
+def _add_all(rep, id_, vertex, ms, oks):
+    """One item per m in ms, each with the matching entry of oks."""
+    for m, ok in zip(np.asarray(ms).tolist(), np.asarray(oks).tolist()):
+        rep.add(id_, vertex, m, ok)
 
 
 def _perm_power(perm, n):
@@ -323,23 +332,28 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
         period = rs.t[a - 1] * kappa
         for n in range(1, M + 1):
             shift = n * period
-            ms = range(clamp(period - 1 + shift) - shift + 1)
+            ms = np.arange(clamp(period - 1 + shift) - shift + 1)
             yield n, _perm_power(rs.tau_table[a], n), shift, ms
 
     # Items ii and v act by powers of tau_a on KR elements of every vertex:
     # one apply_outer call per distinct permutation, before any item is
     # recorded; each vertex then takes its images in the order asked.
-    asked = {}
+    cols, asked = {}, {}
     for a in grid.vertices:
         ta = rs.t[a - 1]
-        grid.fill(a, max(clamp(2 * M * ta * kappa - 1), ta * k))
-        low = range(clamp(ta * k) + 1)
-        asked.setdefault(rs.tau_table[a], []).extend(
-            conjugate(ctx, grid.get(a, m)) for m in low
-        )
+        col = cols[a] = grid.fill(a, max(clamp(2 * M * ta * kappa - 1), ta * k))
+        low = np.arange(clamp(ta * k) + 1)
+        asked.setdefault(rs.tau_table[a], []).append(conjugate(ctx, col[low]))
         for _, perm, _, ms in powers(a):
-            asked.setdefault(perm, []).extend(grid.get(a, m) for m in ms)
-    images = {perm: iter(apply_outer(ctx, perm, got)) for perm, got in asked.items()}
+            asked.setdefault(perm, []).append(col[ms])
+    images = {
+        perm: apply_outer(ctx, perm, np.concatenate(got)) for perm, got in asked.items()
+    }
+    taken = dict.fromkeys(images, 0)
+
+    def take(perm, count):
+        taken[perm] += count
+        return images[perm][taken[perm] - count : taken[perm]]
 
     for a in grid.vertices:
         ta = rs.t[a - 1]
@@ -347,31 +361,33 @@ def check_conjecture(ctx, vertices=None, horizon=None, grid=None):
         tau = rs.tau_table[a]
         sigma = rs.sigma_table[a]
         full = M * period
+        col = cols[a]
 
-        for m in range(clamp(ta * k) + 1):
-            rep.add("i", a, m, _is_positive(grid.get(a, m)))
-        for m in range(clamp(ta * k) + 1):
-            rep.add("ii", a, m, grid.get(a, ta * k - m) == next(images[tau]))
+        ms = np.arange(clamp(ta * k) + 1)
+        _add_all(rep, "i", a, ms, _is_positive(col[ms]))
+        mirror = (col[ta * k - ms] == take(tau, len(ms))).all(axis=1)
+        _add_all(rep, "ii", a, ms, mirror)
         current = [0] * (rs.rank + 1)
         current[tau[0]] = k
-        rep.add("iii", a, ta * k, grid.get(a, ta * k) == ctx.basis_element(current))
-        for m in range(ta * k + 1, clamp(period - 1) + 1):
-            rep.add("iv", a, m, not grid.get(a, m))
+        terminal = np.array_equal(col[ta * k], ctx.basis_element(current))
+        rep.add("iii", a, ta * k, terminal)
+        ms = np.arange(ta * k + 1, clamp(period - 1) + 1)
+        _add_all(rep, "iv", a, ms, ~col[ms].any(axis=1))
         for n, perm, shift, ms in powers(a):
-            for m in ms:
-                lhs = grid.get(a, m + shift)
-                rep.add("v", a, m + shift, lhs == sigma**n * next(images[perm]))
-        for m in range(clamp(full - 1) + 1):
-            rep.add("sign", a, m, _sign_definite(grid.get(a, m)))
-        for m in range(clamp(full - 1 + full) - full + 1):
-            rep.add("period", a, m, grid.get(a, m + full) == grid.get(a, m))
+            image = sigma**n * take(perm, len(ms))
+            _add_all(rep, "v", a, ms + shift, (col[ms + shift] == image).all(axis=1))
+        ms = np.arange(clamp(full - 1) + 1)
+        _add_all(rep, "sign", a, ms, _sign_definite(col[ms]))
+        ms = np.arange(clamp(full - 1 + full) - full + 1)
+        _add_all(rep, "period", a, ms, (col[ms + full] == col[ms]).all(axis=1))
     return rep
 
 
 def _relations_hold(ctx, getter, a, ms):
-    """Whether the Q-system relation holds at (a, m) over any getter, for
-    each m in ms: one fusion_products call over every m for the products
-    of both sides, then one per factor of the neighbor product."""
+    """Whether the Q-system relation holds at (a, m) over any getter of
+    rows, for each m in ms, as a list of bools: one fusion_products call
+    over every m for the products of both sides, then one per factor of the
+    neighbor product."""
     rs = ctx.rs
     ms = list(ms)
     sides = fusion_products(
@@ -379,7 +395,7 @@ def _relations_hold(ctx, getter, a, ms):
         [(getter(a, m), getter(a, m)) for m in ms]
         + [(getter(a, m - 1), getter(a, m + 1)) for m in ms],
     )
-    prods = [ctx.unit()] * len(ms)
+    prods = np.tile(ctx.unit(), (len(ms), 1))
     for b, n in _neighbors(rs, a):
         cba = rs.cartan[b - 1][a - 1]
         for j in range(n):
@@ -387,7 +403,7 @@ def _relations_hold(ctx, getter, a, ms):
                 ctx, [(p, getter(b, (j - cba * m) // n)) for p, m in zip(prods, ms)]
             )
     squares, total = sides[: len(ms)], sides[len(ms) :]
-    return [sq == t + p for sq, t, p in zip(squares, total, prods)]
+    return (squares == total + prods).all(axis=1).tolist()
 
 
 def check_unrestricted(ctx, grid=None, up_to=None):
@@ -406,8 +422,8 @@ def check_unrestricted(ctx, grid=None, up_to=None):
         if any(b not in supported for b, _ in _neighbors(rs, a)):
             rep.skip("relation", a, None, "neighbor vertex lacks KR data")
             continue
-        for m, ok in enumerate(_relations_hold(ctx, grid.get, a, range(top + 1))):
-            rep.add("relation", a, m, ok)
+        ms = range(top + 1)
+        _add_all(rep, "relation", a, ms, _relations_hold(ctx, grid.get, a, ms))
     return rep
 
 
@@ -433,7 +449,7 @@ def boundary_check(ctx):
         for b, n in _neighbors(rs, a):
             for _ in range(n):
                 rhs = fusion_product(ctx, rhs, currents[b])
-        rep.add("ring", a, None, lhs == rhs)
+        rep.add("ring", a, None, np.array_equal(lhs, rhs))
 
         vec = [0] * rs.rank
         for b in range(1, rs.rank + 1):
@@ -446,7 +462,8 @@ def boundary_check(ctx):
 
 @dataclass
 class RestrictedSolution:
-    """The glued nonzero solution of the level-truncated system."""
+    """The glued nonzero solution of the level-truncated system: elements[a]
+    is the read-only (t_a k + 1, n) array of the rows R_0, ..., R_{t_a k}."""
 
     ctx: FusionContext
     elements: dict
@@ -456,7 +473,9 @@ class RestrictedSolution:
         ta = self.ctx.rs.t[a - 1]
         if m == -1 or m == ta * self.ctx.level + 1:
             return self.ctx.zero()
-        return self.elements[(a, m)]
+        if m < -1:
+            raise IndexError(f"no restricted element R_{m}")
+        return self.elements[a][m]
 
 
 def restricted_solution(ctx, grid=None):
@@ -480,38 +499,37 @@ def restricted_solution(ctx, grid=None):
     for a in range(1, rs.rank + 1):
         ta = rs.t[a - 1]
         s = ta * k // 2
-        tau = rs.tau_table[a]
-        grid.fill(a, s + 1)
-        for m in range(s + 1):
-            elems[(a, m)] = grid.get(a, m)
-        upper = range(s + 1, ta * k + 1)
-        mirrored = [conjugate(ctx, grid.get(a, ta * k - m)) for m in upper]
-        elems.update(zip([(a, m) for m in upper], apply_outer(ctx, tau, mirrored)))
+        col = grid.fill(a, s + 1)
+        mirrored = conjugate(ctx, col[ta * k - np.arange(s + 1, ta * k + 1)])
+        upper = apply_outer(ctx, rs.tau_table[a], mirrored)
+        elems[a] = np.concatenate((col[: s + 1], upper))
+        elems[a].flags.writeable = False
 
     sol = RestrictedSolution(ctx=ctx, elements=elems, report=rep)
     for a in range(1, rs.rank + 1):
         ta = rs.t[a - 1]
         s = ta * k // 2
         tau = rs.tau_table[a]
-        for m, ok in enumerate(_relations_hold(ctx, sol.get, a, range(ta * k + 1))):
-            rep.add("relation", a, m, ok)
-        for m in range(ta * k + 1):
-            rep.add("positivity", a, m, _is_positive(sol.get(a, m)))
+        ms = range(ta * k + 1)
+        _add_all(rep, "relation", a, ms, _relations_hold(ctx, sol.get, a, ms))
+        _add_all(rep, "positivity", a, ms, _is_positive(elems[a]))
         # The reflected half at s + 1 mirrors s - 1 (even seam) or s (odd).
         parity = "glue-even" if ta * k % 2 == 0 else "glue-odd"
-        rep.add(parity, a, s + 1, grid.get(a, s + 1) == sol.get(a, s + 1))
+        rep.add(parity, a, s + 1, np.array_equal(grid.get(a, s + 1), sol.get(a, s + 1)))
         if ta * k % 2 == 0:
-            (center,) = apply_outer(ctx, tau, [conjugate(ctx, grid.get(a, s))])
-            rep.add("overlap", a, s, center == grid.get(a, s))
+            center = apply_outer(ctx, tau, conjugate(ctx, grid.get(a, s)))
+            rep.add("overlap", a, s, np.array_equal(center, grid.get(a, s)))
     return sol
 
 
 def admissibility_matrix(ctx, a, m, solution=None):
-    """Multiplication matrix of R^(a)_m on the fusion basis, as integers."""
+    """Multiplication matrix of R^(a)_m on the fusion basis, as integers:
+    row i is R^(a)_m times basis[i]."""
     if solution is None:
         solution = restricted_solution(ctx)
     R = solution.get(a, m)
-    return ctx.coefficients(fusion_products(ctx, [(R, b) for b in ctx.basis]))
+    units = np.eye(len(ctx.basis), dtype=np.int64)
+    return fusion_products(ctx, [(R, e) for e in units])
 
 
 # -- quantum dimension tables and the damped product system -------------------
@@ -643,9 +661,8 @@ def kns_report(ctx, sm, grid=None, solution=None, tol=1e-9):
     dims = {}
     for a in range(1, rs.rank + 1):
         ta = rs.t[a - 1]
-        grid.fill(a, ta * kappa - 1)
-        qd[a] = qdim_table(sm, [grid.get(a, m) for m in range(ta * kappa)])
-        qd_R[a] = qdim_table(sm, [solution.get(a, m) for m in range(ta * k + 1)])
+        qd[a] = qdim_table(sm, grid.fill(a, ta * kappa - 1))
+        qd_R[a] = qdim_table(sm, solution.elements[a])
         dims[a] = qd[a][:, unit].real.tolist()
 
     for a in range(1, rs.rank + 1):

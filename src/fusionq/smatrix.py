@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import build_root_system
-from .fusion import FusionElement
 
 _WEYL_RANK_CAP = 6
 # Working-set budget for one block of cosets, determinant rows or minor columns.
@@ -82,7 +81,8 @@ def weyl_group(rs):
 
 
 class SMatrix:
-    """The modular S-matrix over one level's basis."""
+    """The modular S-matrix over one level's basis.  build_smatrix sets
+    residual, the unitarity residual it checked."""
 
     def __init__(self, ctx, matrix):
         self.ctx = ctx
@@ -292,17 +292,18 @@ def build_smatrix(ctx):
         block = _determinant_sum(
             levi, kappa, moved[:, J], shifted[:, J], shared=len(signs) == 1
         )
-        phases = (moved @ orth @ shifted.T) % (den * kappa)
-        block *= np.exp(-2j * np.pi / (den * kappa) * phases)
+        if len(signs) > 1:  # orth is 0 for one coset (A-D)
+            phases = (moved @ orth @ shifted.T) % (den * kappa)
+            block *= np.exp(-2j * np.pi / (den * kappa) * phases)
         block = block.reshape(-1, n, n)
         total = total + np.tensordot(signs[lo : lo + step], block, 1)
     pref = (1j) ** (rs.num_positive_roots % 4) / math.sqrt(
         rs.coroot_lattice_index * kappa**rs.rank
     )
     sm = SMatrix(ctx, pref * total)
-    resid = sm.unitarity_residual()
-    if resid > 1e-6:
-        raise NumericDegradationError(f"S-matrix unitarity residual {resid:.3e}")
+    sm.residual = sm.unitarity_residual()
+    if sm.residual > 1e-6:
+        raise NumericDegradationError(f"S-matrix unitarity residual {sm.residual:.3e}")
     return sm
 
 
@@ -362,13 +363,13 @@ def verlinde_matrix(sm, resid_tol=1e-6):
 
 def qdim_table(sm, elems):
     """Generalized quantum dimensions of every element at every probe:
-    entry (i, j) is sum_la Z_la S[la, mu_j] / S[0, mu_j] for Z = elems[i]."""
+    entry (i, j) is sum_la Z_la S[la, mu_j] / S[0, mu_j] for Z = elems[i],
+    elems being (count, n) rows over the basis."""
     S = sm.matrix
-    return sm.ctx.coefficients(elems) @ S / S[sm.index(sm.ctx.unit_weight)]
+    return sm.ctx._rows(elems, (-1,)) @ S / S[sm.index(sm.ctx.unit_weight)]
 
 
 def generalized_qdim(sm, u, mu):
-    """qdim at a probe weight mu-hat: sum of Z_la * S[la, mu] / S[0, mu]."""
-    if not isinstance(u, FusionElement):
-        u = sm.ctx.basis_element(u)
+    """qdim of the row u at a probe weight mu-hat: sum of Z_la * S[la, mu] /
+    S[0, mu]."""
     return complex(qdim_table(sm, [u])[0, sm.index(mu)])

@@ -18,6 +18,7 @@ from fusionq import (
     WGrid,
     admissibility_matrix,
     alcove_reduce,
+    apply_outer,
     build_root_system,
     build_smatrix,
     check_conjecture,
@@ -101,14 +102,14 @@ def test_criterion_01_golden_table_a3():
         for a, cell in zip((1, 2, 3), row):
             got = grid.get(a, m)
             if cell is None:
-                assert got == ctx.zero(), (a, m)
+                assert np.array_equal(got, ctx.zero()), (a, m)
             else:
                 sign, w = cell
-                assert got == sign * ctx.basis_element(w), (a, m)
+                assert np.array_equal(got, sign * ctx.basis_element(w)), (a, m)
     # the displayed matrix continues by repeating with period 28
     for m in range(28, 32):
         for a in (1, 2, 3):
-            assert grid.get(a, m) == grid.get(a, m - 28)
+            assert np.array_equal(grid.get(a, m), grid.get(a, m - 28))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"golden table took {elapsed:.2f}s"
     print(f"CRITERION 1 (A3 level-3 golden table): PASS in {elapsed:.2f}s")
@@ -121,8 +122,8 @@ def test_criterion_02_d5_worked_example():
     assert red1.sign == -1 and red1.weight == (0, 0, 2, 0, 0, 0)
     red2 = alcove_reduce(ctx, (-4, 0, 4, 0, 0, 0))
     assert red2.sign == -1 and red2.weight == (2, 0, 1, 0, 0, 0)
-    assert kr_element(ctx, 2, 4) == ctx.basis_element((4, 0, 0, 0, 0, 0))
-    assert kr_element(ctx, 2, 4) == ctx.unit()
+    assert np.array_equal(kr_element(ctx, 2, 4), ctx.basis_element((4, 0, 0, 0, 0, 0)))
+    assert np.array_equal(kr_element(ctx, 2, 4), ctx.unit())
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"worked example took {elapsed:.2f}s"
     print(f"CRITERION 2 (D5 level-4 worked example): PASS in {elapsed:.2f}s")
@@ -155,7 +156,7 @@ def test_criterion_04_verlinde_oracle(make_ctx, make_sm):
             for j in range(n):
                 prod = fusion_product(ctx, ei, ctx.basis_element(ctx.basis[j]))
                 for l in range(n):
-                    assert N[i, j, l] == prod.coeff(ctx.basis[l]), (
+                    assert N[i, j, l] == prod[ctx.basis_index[ctx.basis[l]]], (
                         family, rank, level, i, j, l,
                     )
     assert worst < 1e-6
@@ -192,7 +193,8 @@ def test_criterion_05_smatrix_identities(make_sm):
                 continue
             omega = rs.fundamental_weight(perm[0])
             for la in ctx.basis[:3]:
-                moved = ctx.basis_element(la).relabel(perm).support()[0]
+                image = apply_outer(ctx, perm, ctx.basis_element(la))
+                moved = ctx.basis[np.flatnonzero(image)[0]]
                 for mu in ctx.basis[:3]:
                     phase = cmath.exp(
                         -2j * cmath.pi * float(rs.ip(omega, mu[1:]))
@@ -203,7 +205,7 @@ def test_criterion_05_smatrix_identities(make_sm):
 
         # conjugation
         for la in ctx.basis[:4]:
-            star = conjugate(ctx, la).support()[0]
+            star = ctx.basis[np.flatnonzero(conjugate(ctx, ctx.basis_element(la)))[0]]
             for mu in ctx.basis[:4]:
                 assert abs(
                     sm.entry(star, mu) - sm.entry(la, mu).conjugate()

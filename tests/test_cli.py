@@ -6,11 +6,12 @@ import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from fusionq import FusionContext, build_root_system, fusion
+from fusionq import FusionContext, SMatrix, build_root_system
 from fusionq.cli import main
-from fusionq.fusion import basis_products
+from fusionq.fusion import basis_product_rows
 
 
 def run_cli(capsys, *argv):
@@ -301,14 +302,18 @@ def reference_ring(family, rank, level):
     product and per term, then one compact json.dumps of the whole object."""
     ctx = FusionContext(build_root_system(family, rank), level)
     n = len(ctx.basis)
-    found = basis_products(ctx, ((u, v) for u in ctx.basis for v in ctx.basis))
+    at, starts, terms, coeffs = basis_product_rows(ctx, *divmod(np.arange(n * n), n))
+    spans = [slice(starts[p], starts[p + 1]) for p in at.tolist()]
     products = [
         {
             "i": k // n,
             "j": k % n,
-            "terms": [{"w": list(w), "c": c} for w, c in terms.items()],
+            "terms": [
+                {"w": list(ctx.basis[w]), "c": c}
+                for w, c in zip(terms[r].tolist(), coeffs[r].tolist())
+            ],
         }
-        for k, terms in enumerate(found)
+        for k, r in enumerate(spans)
     ]
     obj = {
         "family": ctx.rs.type.family,
@@ -342,14 +347,9 @@ def test_ring_matches_reference_writer(key, tmp_path, capsys):
 
 def test_ring_builds_no_terms_dicts(tmp_path, monkeypatch, capsys):
     """Cold and warm, ring A3 k3 reads the product table as index arrays:
-    with the builder of terms dicts made to raise, both runs still give the
-    reference writer's bytes, and the warm run reads the cold run's file."""
+    both runs give the reference writer's bytes, and the warm run reads the
+    cold run's file."""
     expected = reference_ring("A", 3, 3)
-
-    def no_dicts(*args):
-        raise AssertionError("ring built terms dicts")
-
-    monkeypatch.setattr(fusion, "_terms_dicts", no_dicts)
     monkeypatch.setenv("FUSIONQ_CACHE_DIR", str(tmp_path))
     argv = ("ring", "--family", "A", "--rank", "3", "--level", "3")
     assert run_cli(capsys, *argv)[:2] == (0, expected)
@@ -386,3 +386,22 @@ def test_ring_writer_memory(tmp_path, monkeypatch, capsys):
     assert code == 0 and len(saved) == 1
     assert target.stat().st_size == 688_497
     assert peak - saved[0] < 4 << 20
+
+
+def test_smatrix_residual_computed_once(monkeypatch, capsys):
+    """smatrix prints the unitarity residual that build_smatrix checked and
+    kept on the SMatrix: S S-dagger is formed once per run."""
+    residual = SMatrix.unitarity_residual
+    calls = []
+
+    def counted(sm):
+        calls.append(residual(sm))
+        return calls[-1]
+
+    monkeypatch.setattr(SMatrix, "unitarity_residual", counted)
+    code, out, err = run_cli(
+        capsys, "smatrix", "--family", "A", "--rank", "2", "--level", "3"
+    )
+    assert code == 0 and len(calls) == 1
+    assert f"unitarity residual {calls[0]:.3e}" in err
+    assert json.loads(out)["unitarity_residual"] == f"{calls[0]:.6g}"

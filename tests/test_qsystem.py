@@ -51,7 +51,9 @@ COMPONENTS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(COMPONENTS))
+@pytest.mark.parametrize(
+    "key", sorted(COMPONENTS), ids=lambda key: "{}{}-a{}-m{}".format(*key)
+)
 def test_kr_components(key, make_rs):
     family, rank, a, m = key
     got = kr_classical_components(make_rs(family, rank), a, m)
@@ -176,30 +178,46 @@ def test_supported_vertices(make_rs):
 
 def test_kr_element_su2(make_ctx):
     ctx = make_ctx("A", 1, 2)
-    assert kr_element(ctx, 1, 0) == ctx.unit()
-    assert kr_element(ctx, 1, 1) == ctx.basis_element((1, 1))
-    assert kr_element(ctx, 1, 2) == ctx.basis_element((0, 2))
-    assert kr_element(ctx, 1, 3) == ctx.zero()
+    assert np.array_equal(kr_element(ctx, 1, 0), ctx.unit())
+    assert np.array_equal(kr_element(ctx, 1, 1), ctx.basis_element((1, 1)))
+    assert np.array_equal(kr_element(ctx, 1, 2), ctx.basis_element((0, 2)))
+    assert np.array_equal(kr_element(ctx, 1, 3), ctx.zero())
     # one full span later the current returns with a sign
-    assert kr_element(ctx, 1, 4) == -ctx.basis_element((0, 2))
-    assert kr_element(ctx, 1, 8) == ctx.unit()
+    assert np.array_equal(kr_element(ctx, 1, 4), -ctx.basis_element((0, 2)))
+    assert np.array_equal(kr_element(ctx, 1, 8), ctx.unit())
 
 
 def test_kr_element_collapse_d5(make_ctx):
     """At level 4 the D5 element W_4 at the second vertex folds to the unit."""
     ctx = make_ctx("D", 5, 4)
-    assert kr_element(ctx, 2, 4) == ctx.unit()
+    assert np.array_equal(kr_element(ctx, 2, 4), ctx.unit())
 
 
 def test_wgrid_basics(make_ctx):
     ctx = make_ctx("A", 2, 2)
     grid = WGrid(ctx)
-    assert grid.get(1, -1) == ctx.zero()
-    assert grid.get(1, 0) == ctx.unit()
-    assert grid.get(2, 1) == ctx.basis_element((1, 0, 1))
-    # memoized: same object back
-    assert grid.get(2, 1) is grid.get(2, 1)
+    assert np.array_equal(grid.get(1, -1), ctx.zero())
+    assert np.array_equal(grid.get(1, 0), ctx.unit())
+    assert np.array_equal(grid.get(2, 1), ctx.basis_element((1, 0, 1)))
+    # memoized: the same column back
+    assert np.shares_memory(grid.get(2, 1), grid.get(2, 1))
     assert grid.default_horizon(1) == period_multiplier(ctx.rs) * (2 + 3)
+
+
+def test_wgrid_rows_are_read_only(make_ctx):
+    """No caller can alter the grid through a row or column it was given:
+    writing through one raises, and the grid keeps its elements."""
+    ctx = make_ctx("A", 2, 2)
+    grid = WGrid(ctx)
+    row = grid.get(1, 1)
+    before = row.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        grid.fill(1, 3)[2] += 1
+    with pytest.raises(ValueError, match="read-only"):
+        restricted_solution(ctx, grid=grid).get(1, 1)[:] = 0
+    assert np.array_equal(grid.get(1, 1), before)
 
 
 def test_wgrid_rejects_unsupported(make_ctx):
@@ -253,8 +271,8 @@ def test_conjecture_horizon_bounds_the_grid(horizon, make_ctx):
     grid = WGrid(ctx)
     check_conjecture(ctx, horizon=horizon, grid=grid)
     for a in grid.vertices:
-        built = [m for b, m in grid._elems if b == a]
-        assert max(built) == max(horizon, ctx.rs.t[a - 1] * 3), a
+        built = len(grid._cols[a]) - 1
+        assert built == max(horizon, ctx.rs.t[a - 1] * 3), a
 
 
 def test_column_fill_peak_memory(make_ctx):
@@ -268,7 +286,7 @@ def test_column_fill_peak_memory(make_ctx):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sorted(grid._elems) == [(3, m) for m in range(72)]
+    assert sorted(grid._cols) == [3] and len(grid._cols[3]) == 72
     assert peak < 6 * 2**20
 
 
@@ -276,13 +294,13 @@ def test_column_fill_peak_memory(make_ctx):
 @pytest.mark.parametrize("family,rank,level", [("C", 3, 3), ("B", 3, 2), ("D", 5, 2)])
 def test_fills_cut_through_modules(family, rank, level, rows, make_ctx, monkeypatch):
     """A few rows per reduction call cut modules across calls without
-    changing any W_m, and every terms dict comes back ascending."""
+    changing any W_m, and some W_m has several terms."""
     ctx = make_ctx(family, rank, level)
     full = WGrid(ctx)
     tops = {a: full.default_horizon(a) for a in full.vertices}
     for a, top in tops.items():
         full.fill(a, top)
-    reduce = qsystem.reduced_terms_many
+    reduce = qsystem._reduced_table
     found = []
 
     def record(*args):
@@ -291,14 +309,15 @@ def test_fills_cut_through_modules(family, rank, level, rows, make_ctx, monkeypa
         return out
 
     monkeypatch.setattr(fusion, "_REDUCE_ROWS", rows)
-    monkeypatch.setattr(qsystem, "reduced_terms_many", record)
+    monkeypatch.setattr(qsystem, "_reduced_table", record)
     chunked = WGrid(ctx)
     for a, top in tops.items():
         chunked.fill(a, top)
         for m in range(top + 1):
-            assert chunked.get(a, m) == full.get(a, m) == kr_element(ctx, a, m), (a, m)
-    assert all(list(terms) == sorted(terms) for terms in found)
-    assert any(len(terms) > 1 for terms in found)
+            got = chunked.get(a, m)
+            assert np.array_equal(got, full.get(a, m)), (a, m)
+            assert np.array_equal(got, kr_element(ctx, a, m)), (a, m)
+    assert any(np.count_nonzero(row) > 1 for row in found)
 
 
 def test_conjecture_partial_exceptional(make_ctx):
@@ -343,7 +362,7 @@ def _relation_holds(ctx, getter, a, m):
         cba = ctx.rs.cartan[b - 1][a - 1]
         for j in range(n):
             prod = fusion_product(ctx, prod, getter(b, (j - cba * m) // n))
-    return lhs == total + prod
+    return np.array_equal(lhs, total + prod)
 
 
 @pytest.mark.parametrize(
@@ -458,9 +477,9 @@ def test_restricted_b3(make_ctx):
     assert "overlap" in parities
     for a in (1, 2, 3):
         ta = ctx.rs.t[a - 1]
-        assert sol.get(a, -1) == ctx.zero()
-        assert sol.get(a, ta * 3 + 1) == ctx.zero()
-        assert sol.get(a, 0) == ctx.unit()
+        assert np.array_equal(sol.get(a, -1), ctx.zero())
+        assert np.array_equal(sol.get(a, ta * 3 + 1), ctx.zero())
+        assert np.array_equal(sol.get(a, 0), ctx.unit())
 
 
 def test_restricted_matches_grid_lower_half(make_ctx):
@@ -472,13 +491,13 @@ def test_restricted_matches_grid_lower_half(make_ctx):
         ta = ctx.rs.t[a - 1]
         s = ta * 2 // 2
         for m in range(s + 1):
-            assert sol.get(a, m) == grid.get(a, m)
+            assert np.array_equal(sol.get(a, m), grid.get(a, m))
         # upper half is the twisted mirror
         tau = ctx.rs.tau_table[a]
         upper = range(s + 1, ta * 2 + 1)
         mirrored = [conjugate(ctx, grid.get(a, ta * 2 - m)) for m in upper]
         for m, expect in zip(upper, apply_outer(ctx, tau, mirrored)):
-            assert sol.get(a, m) == expect
+            assert np.array_equal(sol.get(a, m), expect)
 
 
 def test_restricted_unavailable_exceptional(make_ctx):
