@@ -68,7 +68,7 @@ def cmd_ring(args):
     the bytes of one compact json.dumps of the whole object, written one row
     of products at a time: each write is a system call when stdout is
     unbuffered.  The text of each unordered pair's product is built once,
-    from the text of each (basis index, coefficient) term.
+    from the text of each distinct (basis index, coefficient) term.
     """
     ctx = _context(args)
     n = len(ctx.basis)
@@ -83,16 +83,21 @@ def cmd_ring(args):
         },
         separators=(",", ":"),
     )
-    values, coeffs = np.unique(coeffs, return_inverse=True)
-    pieces, which = np.unique(coeffs * n + terms, return_inverse=True)
-    text = [
-        '{"w":[%s],"c":%d}' % (",".join(map(str, ctx.basis[w])), values[c])
-        for c, w in zip(*np.divmod(pieces, n))
-    ]
-    text = [text[u] for u in which.tolist()]
+    # Sorted and deduplicated without np.unique, which imports numpy.ma.
+    code = coeffs * n + terms
+    pieces = np.sort(code)
+    pieces = pieces[np.diff(pieces, prepend=-1) > 0]
+    text = np.array(
+        [
+            '{"w":[%s],"c":%d}' % (",".join(map(str, ctx.basis[w])), c)
+            for c, w in zip(*np.divmod(pieces, n))
+        ],
+        dtype=object,
+    )[np.searchsorted(pieces, code)].tolist()
     bounds = starts.tolist()
     bodies = [",".join(text[s:e]) for s, e in zip(bounds, bounds[1:])]
     at = at.tolist()
+    del code, pieces, text, bounds
     with _output(args.out) as fh:
         fh.write(head[:-1] + ',"products":[')
         for i in range(n):
@@ -126,6 +131,9 @@ def cmd_verify(args):
         kns = kns_report(ctx, sm, grid=grid, solution=solution, tol=args.tol)
         reports.append(kns.report)
     ctx.save_cache()
+    # The reports need none of these: freed here, they no longer add to the
+    # peak while the report text is built.
+    grid = solution = sm = kns = None
     obj = [rep.to_obj() for rep in reports]
     with _output(args.out) as fh:
         fh.write(json.dumps(obj, separators=(",", ":")) + "\n")

@@ -34,6 +34,9 @@ _INT64_HEADROOM = 2**62
 # Integers below this add exactly in float64.
 _FLOAT_EXACT = 2**53
 _CACHE_DIM_RTOL = 1e-9
+# The lists of a product cache file, written 2**12 numbers at a time.
+_CACHE_LISTS = ("pairs", "sizes", "terms", "coeffs")
+_SAVE_NUMBERS = 2**12
 
 
 class ReductionLimitError(RuntimeError):
@@ -95,15 +98,6 @@ def _ranges(starts, sizes):
     """Positions starts[k], ..., starts[k] + sizes[k] - 1, for each k in
     turn, as one int64 array."""
     return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-
-
-def _search_sorted(known, queries):
-    """np.searchsorted(known, queries), with the queries searched in sorted
-    order: several times faster for many unsorted queries."""
-    order = np.argsort(queries)
-    at = np.empty_like(order)
-    at[order] = np.searchsorted(known, queries[order])
-    return at
 
 
 def _find(known, keys):
@@ -259,28 +253,21 @@ class FusionContext:
         """Load the product table: four flat int lists, pairs (basis-index
         pairs), sizes (terms per pair), terms (basis indices) and coeffs.
         Any failed check rejects the whole file.  The checks: basis indices,
-        each pair once with its terms ascending, positive coefficients,
-        d(la) d(mu) = sum c_nu d(nu) on quantum dimensions, and reciprocity
-        N_{la mu}^nu = N_{la nubar}^{mubar} wherever the partner pair is in
-        the file (a verify run saves only some pairs)."""
-        n = len(self.basis)
-
-        def key(*idx):
-            # One int per unordered pair, with any further indices appended,
-            # over places in affine order: the table's key of a pair.
-            idx = [self._affine_rank[i] for i in idx]
-            lo, hi = np.minimum(idx[0], idx[1]), np.maximum(idx[0], idx[1])
-            return np.ravel_multi_index([lo, hi] + idx[2:], (n,) * len(idx))
-
+        pairs in key order, as save_cache writes them, each with its terms
+        ascending, positive coefficients, d(la) d(mu) = sum c_nu d(nu) on
+        quantum dimensions, and reciprocity N_{la mu}^nu = N_{la nubar}^{mubar}
+        wherever the partner pair is in the file (a verify run saves only
+        some pairs).  The checked arrays become the table as they are."""
+        n, rank = len(self.basis), self._affine_rank
         try:
             with open(self._cache_path()) as fh:
                 raw = json.load(fh)
-            lists = [np.array(raw[k]) for k in ("pairs", "sizes", "terms", "coeffs")]
+            lists = [np.array(raw.pop(k)) for k in _CACHE_LISTS]
             if any(a.dtype != np.int64 or a.ndim != 1 for a in lists):
                 raise ValueError("not flat int64 lists")
             pairs, sizes, terms, coeffs = lists
-            idx = np.concatenate((pairs, terms))
-            if coeffs.min() <= 0 or not 0 <= idx.min() <= idx.max() < n:
+            low, high = min(pairs.min(), terms.min()), max(pairs.max(), terms.max())
+            if coeffs.min() <= 0 or not 0 <= low <= high < n:
                 raise ValueError("index or coefficient out of range")
             pairs = pairs.reshape(-1, 2)
             # Summed exactly first: np.repeat allocates what sizes claim.
@@ -288,49 +275,62 @@ class FusionContext:
             if lengths != (len(pairs), len(terms), len(terms)):
                 raise ValueError("array lengths disagree")
             owner = np.repeat(np.arange(len(pairs)), sizes)
-            keys = key(pairs[:, 0], pairs[:, 1])
-            pair_keys = np.sort(keys)
-            place = owner * n + self._affine_rank[terms]
-            if (np.diff(pair_keys) == 0).any() or (np.diff(place) <= 0).any():
-                raise ValueError("repeated pair or term")
+            keys = np.sort(rank[pairs], axis=1) @ np.array([n, 1])
+            # The table's key of each (pair, term), strictly ascending: each
+            # pair once and in key order, each term once and in affine order.
+            have = keys[owner] * n + rank[terms]
+            if (np.diff(keys) <= 0).any() or (np.diff(have) <= 0).any():
+                raise ValueError("pairs or terms repeated or out of order")
             dim = _quantum_dimensions(self, self.basis)
             lhs = dim[pairs[:, 0]] * dim[pairs[:, 1]]
             rhs = np.bincount(owner, coeffs * dim[terms], minlength=len(pairs))
             if (np.abs(lhs - rhs) > _CACHE_DIM_RTOL * lhs).any():
                 raise ValueError("quantum dimensions disagree")
-            bar = _relabeled(self, self.rs.conj_perm)
-            la, mu = pairs[owner].T
-            have, want = key(la, mu, terms), key(la, bar[terms], bar[mu])
-            order = np.argsort(have)
-            at = order[_search_sorted(have[order], want).clip(max=len(have) - 1)]
-            wrong = (have[at] != want) | (coeffs[at] != coeffs)
-            partner = key(la, bar[terms])
-            near = _search_sorted(pair_keys, partner).clip(max=len(pairs) - 1)
-            if (wrong & (pair_keys[near] == partner)).any():
+            # Term nu of (la, mu) against term mubar of the partner (la, nubar),
+            # searched in sorted order, which also sorts the partner keys.
+            rbar = rank[_relabeled(self, self.rs.conj_perm)]
+            la, nb = rank[pairs[:, 0]][owner], rbar[terms]
+            want = np.minimum(la, nb) * n
+            want += np.maximum(la, nb)
+            del la, nb
+            want *= n
+            want += rbar[pairs[:, 1]][owner]
+            order = np.argsort(want)
+            want, query = want[order], coeffs[order]
+            del owner, order
+            at = np.searchsorted(have, want).clip(max=len(have) - 1)
+            wrong = (have[at] != want) | (coeffs[at] != query)
+            del have, at, query
+            partner = want // n
+            near = np.searchsorted(keys, partner).clip(max=len(keys) - 1)
+            if (wrong & (keys[near] == partner)).any():
                 raise ValueError("reciprocity fails")
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             # Unreadable or mismatched cache: recompute from scratch.
             return
-        self._table.add([(keys, sizes, terms, coeffs)])
+        t = self._table
+        t.keys, t.starts = keys, np.concatenate(([0], np.cumsum(sizes)))
+        t.terms, t.coeffs = terms, coeffs
 
     def save_cache(self):
         """Persist the product table by basis index, atomically, pairs in
-        the order of the table's keys."""
+        the order of the table's keys: the bytes of one json.dumps of a dict
+        of the four lists, written _SAVE_NUMBERS numbers at a time."""
         if not self._cache_dir or not self._cache_dirty:
             return
         t = self._table
-        pairs = self._by_affine[np.column_stack(np.divmod(t.keys, t.n))]
-        table = {
-            "pairs": pairs.ravel().tolist(),
-            "sizes": np.diff(t.starts).tolist(),
-            "terms": t.terms.tolist(),
-            "coeffs": t.coeffs.tolist(),
-        }
+        pairs = self._by_affine[np.column_stack(np.divmod(t.keys, t.n))].ravel()
+        lists = pairs, np.diff(t.starts), t.terms, t.coeffs
         os.makedirs(self._cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self._cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(table))
+                for name, values in zip(_CACHE_LISTS, lists):
+                    fh.write(('{"' if name == "pairs" else '], "') + name + '": [')
+                    for i in range(0, len(values), _SAVE_NUMBERS):
+                        text = json.dumps(values[i : i + _SAVE_NUMBERS].tolist())
+                        fh.write((", " if i else "") + text[1:-1])
+                fh.write("]}")
             os.replace(tmp, self._cache_path())
         except OSError:
             try:

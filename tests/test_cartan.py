@@ -185,7 +185,7 @@ DIMS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(DIMS))
+@pytest.mark.parametrize("key", sorted(DIMS), ids=lambda key: "{}{}".format(*key))
 def test_weyl_dimensions(key, make_rs):
     rs = make_rs(*key)
     for lam, dim in DIMS[key].items():

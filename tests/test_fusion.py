@@ -1128,6 +1128,27 @@ def test_product_cache_in_the_old_layout_is_rebuilt(tmp_path, make_rs):
     _assert_same_table(_stored(reloaded), _stored(probe))
 
 
+def test_product_cache_load_peak_memory(tmp_path, make_rs):
+    """A warm context over the whole A4 k4 ring cache (2,485 pairs, 11,910
+    terms) peaks below 1.25 MB under tracemalloc, the table it keeps
+    included: 0.90 MB measured.  The loader that sorted and copied every
+    array again peaked at 2.28 MB."""
+    rs = make_rs("A", 4)
+    cold = FusionContext(rs, 4, cache_dir=str(tmp_path))
+    n = len(cold.basis)
+    fusion.basis_product_rows(cold, *np.divmod(np.arange(n * n), n))
+    cold.save_cache()
+    tracemalloc.start()
+    try:
+        warm = FusionContext(rs, 4, cache_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(warm._table.terms) == 11_910
+    _assert_same_table(_stored(warm), _stored(cold))
+    assert peak < 1.25e6
+
+
 def _on_terms(edit, pair=None):
     """Corruption that applies edit(ctx, terms) to the [basis index, coeff]
     list of the product of pair (by default the product with the most
@@ -1161,6 +1182,18 @@ def _repeat_first_pair(ctx, raw):
     return tuple(ctx.basis[i] for i in raw["pairs"][:2])
 
 
+def _swap_first_pairs(ctx, raw):
+    """Swap the first two pairs with their terms: every entry stays true,
+    but the pairs are no longer in the table's key order."""
+    first, second = raw["sizes"][:2]
+    raw["pairs"][:4] = raw["pairs"][2:4] + raw["pairs"][:2]
+    raw["sizes"][:2] = [second, first]
+    for name in ("terms", "coeffs"):
+        values = raw[name]
+        values[: first + second] = values[first : first + second] + values[:first]
+    return tuple(ctx.basis[i] for i in raw["pairs"][:2])
+
+
 def _split_coefficient(ctx, terms):
     """Write c V[w] with c > 1 as (c - 1) V[w] + V[w]: dimensions still agree."""
     i = next(i for i, (_, c) in enumerate(terms) if c > 1)
@@ -1186,6 +1219,8 @@ CACHE_CORRUPTIONS = {
     "reversed-terms": _on_terms(lambda ctx, terms: terms.reverse()),
     "split-coefficient": _on_terms(_split_coefficient),
     "repeated-pair": _repeat_first_pair,
+    # save_cache writes pairs in key order, and the loader requires it.
+    "pairs-out-of-order": _swap_first_pairs,
     # V[0,0,3]^2 is V[0,3,0]; its conjugate V[0,0,3] has the same quantum
     # dimension, so only reciprocity across entries rejects the swap.
     "conjugate-swap": _on_terms(
@@ -1216,3 +1251,21 @@ def test_product_cache_ignores_garbage(tmp_path, make_rs, corruption):
     ctx = FusionContext(rs, 3, cache_dir=str(tmp_path))
     assert len(ctx._table.keys) == 0
     assert np.array_equal(_product(ctx, la, mu), _product(FusionContext(rs, 3), la, mu))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[]", "[1, 2]", '"pairs"', "3", "true", "null"],
+    ids=["empty-list", "list", "string", "number", "bool", "null"],
+)
+def test_product_cache_that_is_not_an_object_is_rejected(tmp_path, make_rs, text):
+    """A cache file holding JSON other than an object is ignored, whatever
+    its type, and the products are computed again."""
+    rs = make_rs("A", 2)
+    probe = FusionContext(rs, 3, cache_dir=str(tmp_path))
+    with open(probe._cache_path(), "w") as fh:
+        fh.write(text)
+    ctx = FusionContext(rs, 3, cache_dir=str(tmp_path))
+    assert len(ctx._table.keys) == 0
+    la = ctx.basis_element(ctx.basis[1])
+    assert np.array_equal(fusion.fusion_product(ctx, la, ctx.unit()), la)
