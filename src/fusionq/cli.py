@@ -2,14 +2,13 @@
 
 Exit codes: 0 success, 1 a check failed, 2 usage error, 3 numeric
 degradation.  File outputs are deterministic: re-running a command with
-the same arguments produces byte-identical files.
+the same arguments produces byte-identical files.  Each command imports
+the modules only it runs, so ring never loads qsystem or smatrix.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -18,17 +17,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .cartan import DynkinType, build_root_system
-from .fusion import FusionContext, basis_product_rows
-from .qsystem import (
-    KRDataUnavailableError,
-    WGrid,
-    check_conjecture,
-    boundary_check,
-    kns_report,
-    restricted_solution,
-    unsupported_report,
-)
-from .smatrix import NumericDegradationError, build_smatrix
+from .fusion import FusionContext, NumericDegradationError, basis_product_rows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -114,6 +103,12 @@ def cmd_ring(args):
 
 def cmd_verify(args):
     """Run the full verification battery and write the combined report."""
+    from .qsystem import (
+        KRDataUnavailableError, WGrid, boundary_check, check_conjecture, kns_report,
+        restricted_solution, unsupported_report,
+    )
+    from .smatrix import build_smatrix
+
     ctx = _context(args)
     grid = WGrid(ctx)
     reports = [check_conjecture(ctx, horizon=args.horizon, grid=grid)]
@@ -143,6 +138,8 @@ def cmd_verify(args):
 
 def cmd_smatrix(args):
     """Write the S-matrix as JSON or CSV and print the unitarity residual."""
+    from .smatrix import build_smatrix
+
     ctx = _context(args)
     sm = build_smatrix(ctx)
     residual = sm.residual
@@ -160,6 +157,9 @@ def cmd_smatrix(args):
         }
         text = json.dumps(obj, separators=(",", ":")) + "\n"
     else:
+        import csv
+        import io
+
         rows = [[_weight_label(w[1:]) for w in ctx.basis]]
         for row in sm.matrix:
             rows.append([f"{z.real:.15g},{z.imag:.15g}" for z in row])

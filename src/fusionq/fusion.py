@@ -13,7 +13,6 @@ those rows by an exact recursion over the basis in height order.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from typing import NamedTuple
@@ -34,9 +33,6 @@ _INT64_HEADROOM = 2**62
 # Integers below this add exactly in float64.
 _FLOAT_EXACT = 2**53
 _CACHE_DIM_RTOL = 1e-9
-# The lists of a product cache file, written 2**12 numbers at a time.
-_CACHE_LISTS = ("pairs", "sizes", "terms", "coeffs")
-_SAVE_NUMBERS = 2**12
 
 
 class ReductionLimitError(RuntimeError):
@@ -45,6 +41,10 @@ class ReductionLimitError(RuntimeError):
 
 class ReductionOverflowError(ReductionLimitError):
     """A weight coordinate is too large for exact int64 batched reduction."""
+
+
+class NumericDegradationError(ArithmeticError):
+    """A floating-point quantity drifted past its admissible residual."""
 
 
 class ReducedWeight(NamedTuple):
@@ -246,12 +246,14 @@ class FusionContext:
     # -- product cache persistence -------------------------------------------
 
     def _cache_path(self):
-        name = f"fusionq-{self.rs.type}-k{self.level}.json"
+        name = f"fusionq-{self.rs.type}-k{self.level}.bin"
         return os.path.join(self._cache_dir, name)
 
     def _load_cache(self):
-        """Load the product table: four flat int lists, pairs (basis-index
-        pairs), sizes (terms per pair), terms (basis indices) and coeffs.
+        """Load the product table: little-endian int64, a header of four
+        lengths, then the flat lists pairs (basis-index pairs), sizes (terms
+        per pair), terms (basis indices) and coeffs.  The file must hold
+        exactly 4 + sum(header) numbers, checked before the lists are read.
         Any failed check rejects the whole file.  The checks: basis indices,
         pairs in key order, as save_cache writes them, each with its terms
         ascending, positive coefficients, d(la) d(mu) = sum c_nu d(nu) on
@@ -260,12 +262,14 @@ class FusionContext:
         some pairs).  The checked arrays become the table as they are."""
         n, rank = len(self.basis), self._affine_rank
         try:
-            with open(self._cache_path()) as fh:
-                raw = json.load(fh)
-            lists = [np.array(raw.pop(k)) for k in _CACHE_LISTS]
-            if any(a.dtype != np.int64 or a.ndim != 1 for a in lists):
-                raise ValueError("not flat int64 lists")
-            pairs, sizes, terms, coeffs = lists
+            with open(self._cache_path(), "rb") as fh:
+                head = fh.read(32)
+                counts = np.frombuffer(head, dtype="<i8").tolist()
+                size = os.fstat(fh.fileno()).st_size
+                if len(counts) < 4 or min(counts) < 0 or size != 8 * (4 + sum(counts)):
+                    raise ValueError("file length disagrees with its header")
+                body = np.fromfile(fh, dtype="<i8")
+            pairs, sizes, terms, coeffs = np.split(body, np.cumsum(counts[:3]))
             low, high = min(pairs.min(), terms.min()), max(pairs.max(), terms.max())
             if coeffs.min() <= 0 or not 0 <= low <= high < n:
                 raise ValueError("index or coefficient out of range")
@@ -305,7 +309,7 @@ class FusionContext:
             near = np.searchsorted(keys, partner).clip(max=len(keys) - 1)
             if (wrong & (keys[near] == partner)).any():
                 raise ValueError("reciprocity fails")
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        except (OSError, ValueError):
             # Unreadable or mismatched cache: recompute from scratch.
             return
         t = self._table
@@ -314,8 +318,7 @@ class FusionContext:
 
     def save_cache(self):
         """Persist the product table by basis index, atomically, pairs in
-        the order of the table's keys: the bytes of one json.dumps of a dict
-        of the four lists, written _SAVE_NUMBERS numbers at a time."""
+        the order of the table's keys, in the layout _load_cache reads."""
         if not self._cache_dir or not self._cache_dirty:
             return
         t = self._table
@@ -324,13 +327,10 @@ class FusionContext:
         os.makedirs(self._cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self._cache_dir, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                for name, values in zip(_CACHE_LISTS, lists):
-                    fh.write(('{"' if name == "pairs" else '], "') + name + '": [')
-                    for i in range(0, len(values), _SAVE_NUMBERS):
-                        text = json.dumps(values[i : i + _SAVE_NUMBERS].tolist())
-                        fh.write((", " if i else "") + text[1:-1])
-                fh.write("]}")
+            with os.fdopen(fd, "wb") as fh:
+                np.array([len(a) for a in lists], dtype="<i8").tofile(fh)
+                for values in lists:
+                    values.astype("<i8", copy=False).tofile(fh)
             os.replace(tmp, self._cache_path())
         except OSError:
             try:

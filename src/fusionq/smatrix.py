@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import build_root_system
+from .fusion import NumericDegradationError
 
 _WEYL_RANK_CAP = 6
 # Working-set budget for one block of cosets, determinant rows or minor columns.
@@ -31,10 +32,6 @@ _LEVI = {
     "F4": ("B", 3, (1, 2, 3)),
     "G2": ("A", 1, (1,)),
 }
-
-
-class NumericDegradationError(ArithmeticError):
-    """A floating-point quantity drifted past its admissible residual."""
 
 
 def weyl_group(rs):

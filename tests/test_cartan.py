@@ -367,7 +367,7 @@ OUTER = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(OUTER))
+@pytest.mark.parametrize("key", sorted(OUTER), ids=lambda key: "{}{}".format(*key))
 def test_automorphism_tables(key, make_rs):
     rs = make_rs(*key)
     conj, tau = OUTER[key]

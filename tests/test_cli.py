@@ -295,53 +295,136 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     code, first, _ = run_cli(capsys, *args)
     assert code == 0
     cached = list(tmp_path.iterdir())
-    assert cached, "ring should persist its product cache"
-    json.loads(cached[0].read_text())
+    assert [path.name for path in cached] == ["fusionq-A1-k3.bin"]
+    data = cached[0].read_bytes()
+    assert len(data) == 8 * (4 + sum(np.frombuffer(data[:32], dtype="<i8").tolist()))
     code, second, _ = run_cli(capsys, *args)
     assert code == 0
     assert first == second
 
 
-# SHA-256 of the product cache file a cold run writes, recorded when
-# save_cache wrote the whole table with one json.dumps call.
+# SHA-256 of one json.dumps of the dict of the four lists that a cold run
+# saves, recorded when save_cache wrote them as that JSON text.
 CACHE_DIGESTS = {
     ("ring", "A", 4, 4): "a7deba9198a34e495ecfd9ce4dfdb2452fcabe4064c5ec099673ed6effffd7f8",
     ("verify", "C", 4, 4): "6980587cf79530c7431926cc6ba106ce12557041a3b617cedff1bc4eb6bcaef7",
 }
+# SHA-256 of the int64 cache file itself.
+BIN_DIGESTS = {
+    ("ring", "A", 4, 4): "3dd009317d8ba19b5e5616ed6b6bcd976af4bcad42218debe5497b673d712521",
+    ("verify", "C", 4, 4): "4ef60644b307569caeaf7c6dcc354cfe6793f988f2d29876c67bbf62f6ecadfe",
+}
 
 
-@pytest.mark.parametrize(
-    "key", sorted(CACHE_DIGESTS), ids=lambda key: "{}-{}{}-k{}".format(*key)
-)
-def test_cache_file_digests(key, tmp_path, monkeypatch, capsys):
-    """save_cache writes each list in slices, in the same bytes."""
+def cold_cache(key, tmp_path, monkeypatch, capsys):
+    """The bytes of the product cache file that a cold run of key writes."""
     command, family, rank, level = key
     monkeypatch.setenv("FUSIONQ_CACHE_DIR", str(tmp_path))
     argv = (command, "--family", family, "--rank", str(rank), "--level", str(level))
     assert run_cli(capsys, *argv)[0] == 0
     (cache,) = tmp_path.iterdir()
-    assert hashlib.sha256(cache.read_bytes()).hexdigest() == CACHE_DIGESTS[key]
+    assert cache.name == f"fusionq-{family}{rank}-k{level}.bin"
+    return cache.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key", sorted(CACHE_DIGESTS), ids=lambda key: "{}-{}{}-k{}".format(*key)
+)
+def test_cache_content_matches_the_json_digests(key, tmp_path, monkeypatch, capsys):
+    """The lists a cold run saves are those the JSON layout held: rendered
+    as that layout's text, they give its recorded digest."""
+    data = cold_cache(key, tmp_path, monkeypatch, capsys)
+    counts = np.frombuffer(data[:32], dtype="<i8")
+    lists = np.split(np.frombuffer(data[32:], dtype="<i8"), np.cumsum(counts[:3]))
+    names = ("pairs", "sizes", "terms", "coeffs")
+    text = json.dumps({name: a.tolist() for name, a in zip(names, lists)})
+    assert hashlib.sha256(text.encode()).hexdigest() == CACHE_DIGESTS[key]
+
+
+@pytest.mark.parametrize(
+    "key", sorted(BIN_DIGESTS), ids=lambda key: "{}-{}{}-k{}".format(*key)
+)
+def test_cache_file_digests(key, tmp_path, monkeypatch, capsys):
+    """save_cache writes the same bytes from one version to the next."""
+    data = cold_cache(key, tmp_path, monkeypatch, capsys)
+    assert hashlib.sha256(data).hexdigest() == BIN_DIGESTS[key]
+
+
+def run_fresh(script, *args, cache):
+    """Run a Python script in a fresh process over this source tree, with
+    FUSIONQ_CACHE_DIR set to cache; return its stdout."""
+    src = str(Path(fusionq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, FUSIONQ_CACHE_DIR=str(cache))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    return done.stdout
+
+
+# A cold and then a warm ring A3 k3 into the file named by argv[1].
+RING_TWICE = (
+    "import sys\n"
+    "from fusionq.cli import main\n"
+    "argv = ['ring', '--family', 'A', '--rank', '3', '--level', '3',\n"
+    "        '--out', sys.argv[1]]\n"
+    "assert main(argv) == 0 and main(argv) == 0\n"
+)
 
 
 def test_ring_does_not_import_numpy_ma(tmp_path):
     """A cold and then a warm ring run in a fresh process never import
     numpy.ma, which np.unique without indices pulls in (about 16 ms and
     0.6 MB of every run's set-up)."""
-    script = (
-        "import sys\n"
-        "from fusionq.cli import main\n"
-        "argv = ['ring', '--family', 'A', '--rank', '3', '--level', '3',\n"
-        "        '--out', sys.argv[1]]\n"
-        "assert main(argv) == 0 and main(argv) == 0\n"
-        "sys.exit('numpy.ma' in sys.modules)\n"
-    )
-    src = str(Path(fusionq.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = RING_TWICE + "print('numpy.ma' in sys.modules)\n"
     cache = tmp_path / "cache"
-    env = dict(os.environ, PYTHONPATH=path, FUSIONQ_CACHE_DIR=str(cache))
     out = tmp_path / "ring.json"
-    subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+    assert run_fresh(script, out, cache=cache) == "False\n"
     assert out.stat().st_size and len(list(cache.iterdir())) == 1
+
+
+def test_ring_and_setup_do_not_import_qsystem_or_smatrix(tmp_path):
+    """Neither a cold and a warm ring run nor the set-up that every command
+    starts with (import fusionq and fusionq.cli, then build_root_system and
+    a FusionContext over the warm cache) loads fusionq.qsystem,
+    fusionq.smatrix or csv."""
+    unused = "{'fusionq.qsystem', 'fusionq.smatrix', 'csv'}"
+    report = f"print(sorted({unused} & set(sys.modules)))\n"
+    cache = tmp_path / "cache"
+    out = tmp_path / "ring.json"
+    assert run_fresh(RING_TWICE + report, out, cache=cache) == "[]\n"
+    assert out.stat().st_size and len(list(cache.iterdir())) == 1
+    setup = (
+        "import os, sys\n"
+        "import fusionq\n"
+        "import fusionq.cli\n"
+        "rs = fusionq.build_root_system('A', 3)\n"
+        "ctx = fusionq.FusionContext(rs, 3, cache_dir=os.environ['FUSIONQ_CACHE_DIR'])\n"
+        "assert len(ctx._table.keys) == 20 * 21 // 2\n"
+    )
+    assert run_fresh(setup + report, cache=cache) == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "smatrix"])
+def test_numeric_degradation_exits_3(command, monkeypatch, capsys):
+    """An S-matrix whose unitarity residual is above 1e-6 stops verify and
+    smatrix with exit code 3 and a message, before any output."""
+    monkeypatch.setattr(SMatrix, "unitarity_residual", lambda sm: 1e-3)
+    code, out, err = run_cli(capsys, command, "--family", "A", "--rank", "2", "--level", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric degradation: S-matrix unitarity residual 1.000e-03")
+
+
+def test_smatrix_above_tolerance_exits_3(capsys):
+    """smatrix writes the matrix, then exits 3 when the residual is above
+    --tol."""
+    code, out, err = run_cli(
+        capsys, "smatrix", "--family", "A", "--rank", "2", "--level", "3", "--tol", "1e-300"
+    )
+    assert code == 3
+    assert len(json.loads(out)["matrix"]) == 10
+    assert "unitarity residual" in err
 
 
 def reference_ring(family, rank, level):

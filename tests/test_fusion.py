@@ -717,7 +717,7 @@ def test_cache_bytes_match_the_kac_walton_reference(
         monkeypatch.setenv("FUSIONQ_CACHE_DIR", str(cache))
         main(["verify", "--family", "C", "--rank", "3", "--level", "3"])
         report = capsys.readouterr().out
-        files = [tmp_path / "ring" / "fusionq-A3-k3.json", cache / "fusionq-C3-k3.json"]
+        files = [tmp_path / "ring" / "fusionq-A3-k3.bin", cache / "fusionq-C3-k3.bin"]
         written.append([report] + [path.read_bytes() for path in files])
         files[0].unlink()
     assert written[0] == written[1]
@@ -1104,25 +1104,24 @@ def test_product_cache_round_trip(tmp_path, make_rs):
 
 
 def test_product_cache_in_the_old_layout_is_rebuilt(tmp_path, make_rs):
-    """A file keyed by "la|mu" weight strings is ignored, then replaced by a
-    file in the basis-index layout when the products are saved."""
+    """A file in the JSON layout of earlier versions (the four lists under
+    their names) is never read: the products are computed again and saved
+    to the binary file, and the JSON file is left as it was."""
     rs = make_rs("A", 2)
     probe = FusionContext(rs, 3, cache_dir=str(tmp_path))
     _basis_products(probe, _all_pairs(probe))
-    old = {
-        ",".join(map(str, a)) + "|" + ",".join(map(str, b)): [
-            [list(w), c] for w, c in terms.items()
-        ]
-        for (a, b), terms in _stored(probe).items()
-    }
-    with open(probe._cache_path(), "w") as fh:
-        json.dump({"products": old}, fh)
+    probe.save_cache()
+    (path,) = tmp_path.iterdir()
+    old = tmp_path / "fusionq-A2-k3.json"
+    old.write_text(json.dumps(decode_cache(path.read_bytes())))
+    path.unlink()
+    stamp = old.stat().st_ino, old.stat().st_mtime_ns, old.read_bytes()
     ctx = FusionContext(rs, 3, cache_dir=str(tmp_path))
     assert len(ctx._table.keys) == 0
     _basis_products(ctx, _all_pairs(ctx))
     ctx.save_cache()
-    with open(probe._cache_path()) as fh:
-        assert sorted(json.load(fh)) == ["coeffs", "pairs", "sizes", "terms"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, old.name]
+    assert (old.stat().st_ino, old.stat().st_mtime_ns, old.read_bytes()) == stamp
     assert len(_stored(probe)) == 10 * 11 // 2
     reloaded = FusionContext(rs, 3, cache_dir=str(tmp_path))
     _assert_same_table(_stored(reloaded), _stored(probe))
@@ -1147,6 +1146,22 @@ def test_product_cache_load_peak_memory(tmp_path, make_rs):
     assert len(warm._table.terms) == 11_910
     _assert_same_table(_stored(warm), _stored(cold))
     assert peak < 1.25e6
+
+
+CACHE_LISTS = ("pairs", "sizes", "terms", "coeffs")
+
+
+def decode_cache(data):
+    """The four lists of a product cache file, from its bytes."""
+    counts = np.frombuffer(data[:32], dtype="<i8")
+    lists = np.split(np.frombuffer(data[32:], dtype="<i8"), np.cumsum(counts[:3]))
+    return {name: a.tolist() for name, a in zip(CACHE_LISTS, lists)}
+
+
+def encode_cache(raw):
+    """The bytes of a product cache file holding the four lists of raw."""
+    lists = [raw[name] for name in CACHE_LISTS]
+    return np.array([len(a) for a in lists] + sum(lists, []), dtype="<i8").tobytes()
 
 
 def _on_terms(edit, pair=None):
@@ -1207,13 +1222,16 @@ def _insert_term(ctx, terms, w):
 
 
 CACHE_CORRUPTIONS = {
-    "not-json": None,
     "plus-5": _on_terms(lambda ctx, terms: terms[0].__setitem__(1, terms[0][1] + 5)),
     "dropped-term": _on_terms(lambda ctx, terms: terms.pop()),
     # The tampered entry is V[1,1,1]^2, which has no V[2,1,0] term.
     "extra-term": _on_terms(lambda ctx, terms: _insert_term(ctx, terms, (2, 1, 0))),
     "negative": _on_terms(lambda ctx, terms: terms[0].__setitem__(1, -terms[0][1])),
-    "float-coeff": _on_terms(lambda ctx, terms: terms[0].__setitem__(1, 1.0)),
+    # The float64 1.0 in int64 bits: a huge coefficient, caught by quantum
+    # dimensions.
+    "float-coeff": _on_terms(
+        lambda ctx, terms: terms[0].__setitem__(1, int(np.float64(1).view(np.int64)))
+    ),
     "index-minus-1": _on_terms(lambda ctx, terms: terms[0].__setitem__(0, -1)),
     "index-n": _on_terms(lambda ctx, terms: terms[0].__setitem__(0, len(ctx.basis))),
     "reversed-terms": _on_terms(lambda ctx, terms: terms.reverse()),
@@ -1230,9 +1248,21 @@ CACHE_CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("corruption", sorted(CACHE_CORRUPTIONS))
+# Whole-file edits of the bytes of a valid cache file.
+BYTE_CORRUPTIONS = {
+    "not-json": lambda data: b"not json {",
+    "random-bytes": lambda data: np.random.default_rng(0).bytes(len(data)),
+    "trailing-bytes": lambda data: data + bytes(8),
+    "truncated": lambda data: data[:-8],
+    "length-not-multiple-of-8": lambda data: data[:-3],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CACHE_CORRUPTIONS) + sorted(BYTE_CORRUPTIONS))
 def test_product_cache_ignores_garbage(tmp_path, make_rs, corruption):
-    """A corrupt or tampered cache file is rejected as a whole."""
+    """A corrupt or tampered cache file is rejected as a whole.  Content is
+    tampered with by decoding the file's lists, editing them and encoding
+    them again, which without an edit gives the file's own bytes."""
     rs = make_rs("A", 2)
     probe = FusionContext(rs, 3, cache_dir=str(tmp_path))
     for u in probe.basis:
@@ -1240,14 +1270,15 @@ def test_product_cache_ignores_garbage(tmp_path, make_rs, corruption):
             _product(probe, u, v)
     probe.save_cache()
     (path,) = tmp_path.iterdir()
-    corrupt = CACHE_CORRUPTIONS[corruption]
-    if corrupt is None:
-        path.write_text("not json {")
+    data = path.read_bytes()
+    raw = decode_cache(data)
+    assert encode_cache(raw) == data
+    if corruption in BYTE_CORRUPTIONS:
+        path.write_bytes(BYTE_CORRUPTIONS[corruption](data))
         la = mu = probe.basis[1]
     else:
-        raw = json.loads(path.read_text())
-        la, mu = corrupt(probe, raw)
-        path.write_text(json.dumps(raw))
+        la, mu = CACHE_CORRUPTIONS[corruption](probe, raw)
+        path.write_bytes(encode_cache(raw))
     ctx = FusionContext(rs, 3, cache_dir=str(tmp_path))
     assert len(ctx._table.keys) == 0
     assert np.array_equal(_product(ctx, la, mu), _product(FusionContext(rs, 3), la, mu))
@@ -1259,8 +1290,8 @@ def test_product_cache_ignores_garbage(tmp_path, make_rs, corruption):
     ids=["empty-list", "list", "string", "number", "bool", "null"],
 )
 def test_product_cache_that_is_not_an_object_is_rejected(tmp_path, make_rs, text):
-    """A cache file holding JSON other than an object is ignored, whatever
-    its type, and the products are computed again."""
+    """A cache file holding JSON text, an object or not, is ignored, and
+    the products are computed again."""
     rs = make_rs("A", 2)
     probe = FusionContext(rs, 3, cache_dir=str(tmp_path))
     with open(probe._cache_path(), "w") as fh:
@@ -1269,3 +1300,67 @@ def test_product_cache_that_is_not_an_object_is_rejected(tmp_path, make_rs, text
     assert len(ctx._table.keys) == 0
     la = ctx.basis_element(ctx.basis[1])
     assert np.array_equal(fusion.fusion_product(ctx, la, ctx.unit()), la)
+
+
+def _with_counts(edit):
+    """Corruption that applies edit to a copy of the header's four counts."""
+
+    def corrupt(data):
+        counts = np.frombuffer(data[:32], dtype="<i8").copy()
+        edit(counts)
+        return counts.tobytes() + data[32:]
+
+    return corrupt
+
+
+HEADER_CORRUPTIONS = {
+    "empty-file": lambda data: b"",
+    "7-bytes": lambda data: data[:7],
+    "header-only": lambda data: data[:32],
+    # The counts still sum to the file's length.
+    "negative-count": _with_counts(
+        lambda c: c.__setitem__(slice(2, 4), (c[2] + c[3] + 1, -1))
+    ),
+    "counts-past-the-end": _with_counts(lambda c: c.__setitem__(2, c[2] + 1)),
+    "counts-short-of-the-end": _with_counts(lambda c: c.__setitem__(3, c[3] - 1)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(HEADER_CORRUPTIONS))
+def test_product_cache_header_must_fit_the_file(tmp_path, make_rs, corruption):
+    """A file whose four counts are not all nonnegative, or do not add up
+    to its length, is rejected before its lists are read."""
+    rs = make_rs("A", 2)
+    probe = FusionContext(rs, 3, cache_dir=str(tmp_path))
+    _basis_products(probe, _all_pairs(probe))
+    probe.save_cache()
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    assert all(np.frombuffer(data[:32], dtype="<i8"))
+    path.write_bytes(HEADER_CORRUPTIONS[corruption](data))
+    ctx = FusionContext(rs, 3, cache_dir=str(tmp_path))
+    assert len(ctx._table.keys) == 0
+    la = ctx.basis_element(ctx.basis[1])
+    assert np.array_equal(fusion.fusion_product(ctx, la, ctx.unit()), la)
+
+
+def test_product_cache_header_is_checked_before_reading(tmp_path, make_rs):
+    """A header that claims 2**40 terms is rejected without allocating
+    anything from it, and without reading the lists: the load peaks below
+    the size of the file (the whole A4 k4 ring cache, 250,232 bytes)."""
+    rs = make_rs("A", 4)
+    cold = FusionContext(rs, 4, cache_dir=str(tmp_path))
+    n = len(cold.basis)
+    fusion.basis_product_rows(cold, *np.divmod(np.arange(n * n), n))
+    cold.save_cache()
+    (path,) = tmp_path.iterdir()
+    path.write_bytes(_with_counts(lambda c: c.__setitem__(2, 2**40))(path.read_bytes()))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        warm = FusionContext(rs, 4, cache_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(warm._table.keys) == 0
+    assert peak < size
