@@ -25,6 +25,10 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+# List entries per json.dumps call of the streamed verify report.
+_REPORT_SLICE = 256
+
+
 class UsageError(Exception):
     pass
 
@@ -101,6 +105,29 @@ def cmd_ring(args):
     return EXIT_OK
 
 
+def _write_reports(fh, reports):
+    """Write the bytes of json.dumps([rep.to_obj() for rep in reports]),
+    compact, and a newline: a report field at a time, and a list field in
+    slices of _REPORT_SLICE entries, so the text of a whole report is never
+    built."""
+    sep = (",", ":")
+    fh.write("[")
+    for r, rep in enumerate(reports):
+        fh.write(",{" if r else "{")
+        for f, (key, value) in enumerate(rep.to_obj().items()):
+            fh.write(("," if f else "") + json.dumps(key) + ":")
+            if not isinstance(value, list):
+                fh.write(json.dumps(value, separators=sep))
+                continue
+            fh.write("[")
+            for lo in range(0, len(value), _REPORT_SLICE):
+                text = json.dumps(value[lo : lo + _REPORT_SLICE], separators=sep)
+                fh.write(("," if lo else "") + text[1:-1])
+            fh.write("]")
+        fh.write("}")
+    fh.write("]\n")
+
+
 def cmd_verify(args):
     """Run the full verification battery and write the combined report."""
     from .qsystem import (
@@ -127,11 +154,10 @@ def cmd_verify(args):
         reports.append(kns.report)
     ctx.save_cache()
     # The reports need none of these: freed here, they no longer add to the
-    # peak while the report text is built.
+    # peak while the report is written.
     grid = solution = sm = kns = None
-    obj = [rep.to_obj() for rep in reports]
     with _output(args.out) as fh:
-        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        _write_reports(fh, reports)
     ok = all(rep.ok for rep in reports)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -6,8 +6,10 @@ of a classical Levi subgroup W_J (all of W for A-D), and each coset gives a
 Weyl-denominator determinant of the Levi type in epsilon-coordinates
 (Kac-Peterson) times one exact phase for the part orthogonal to J.  With
 one coset the determinants are the shared minors of one small table per
-column; the coset-moved rows of E, F and G take np.linalg.det.  Work goes
-in blocks sized from _BLOCK_BYTES.  The explicit Weyl-group sum
+column; the coset-moved rows of E, F and G take np.linalg.det.  S is one
+n x n buffer: the one coset's determinants scaled in place, or the sum the
+cosets are added into.  Work goes in blocks sized from _BLOCK_BYTES, the
+unitarity residual too.  The explicit Weyl-group sum
 (weyl_group, smatrix_entry) is the reference it is tested against.
 """
 
@@ -22,8 +24,9 @@ from .cartan import build_root_system
 from .fusion import NumericDegradationError
 
 _WEYL_RANK_CAP = 6
-# Working-set budget for one block of cosets, determinant rows or minor columns.
-_BLOCK_BYTES = 1 << 24
+# Working-set budget for one block of cosets, determinant rows, minor
+# columns or residual rows.
+_BLOCK_BYTES = 1 << 22
 # Classical Levi: family, rank, parent vertices J (1-based) in the Levi's order.
 _LEVI = {
     "E6": ("D", 5, (5, 4, 3, 2, 6)),
@@ -93,10 +96,22 @@ class SMatrix:
         return self.matrix[self.index(la), self.index(mu)]
 
     def unitarity_residual(self):
-        n = len(self.basis)
-        return float(
-            np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(n)))
-        )
+        """max |S S-dagger - I| from row blocks of the upper block triangle:
+        S S-dagger is Hermitian, and S[lo:hi].conj() @ S[lo:].T is the
+        conjugate of its rows lo:hi from column lo on, so it has the same
+        moduli and copies no more of S than its own rows.  A NaN in S gives
+        NaN."""
+        S = self.matrix
+        n = len(S)
+        # Per row: its conjugate, its products and their moduli.
+        step = max(1, _BLOCK_BYTES // (40 * n))
+        worst = []
+        for lo in range(0, n, step):
+            block = S[lo : lo + step].conj() @ S[lo:].T
+            diag = np.arange(len(block))
+            block[diag, diag] -= 1
+            worst.append(np.abs(block).max())
+        return float(np.max(worst))
 
     def symmetry_residual(self):
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
@@ -108,7 +123,11 @@ def _epsilon_map(rs):
     Returns (E, c): E is an m x r matrix of Fractions whose column a is
     omega_{a+1} in epsilon-coordinates (m = r+1 for A, r otherwise), and
     (x | y) = c * sum x_i y_i, so c * E^T E equals the Gram matrix.
+    Cached on rs: every block of cosets reads it.
     """
+    cached = getattr(rs, "_epsilon_cache", None)
+    if cached is not None:
+        return cached
     fam, r = rs.type.family, rs.rank
     m = r + 1 if fam == "A" else r
     half = Fraction(1, 2)
@@ -129,6 +148,7 @@ def _epsilon_map(rs):
             for a in range(r)]
     if gram != [list(row) for row in rs.gram]:
         raise AssertionError(f"epsilon map of {rs.type} does not give its Gram matrix")
+    rs._epsilon_cache = E, c
     return E, c
 
 
@@ -221,8 +241,11 @@ def _family_det(fam, m, roots, det):
     block = (2j) ** m * det(roots.imag)
     if fam == "D":
         # Even sign changes only: half the sine plus the cosine
-        # determinant, exp(-i t) + exp(i t) = 2 Re(exp(-i t)).
-        block = 0.5 * (block + 2.0**m * det(roots.real))
+        # determinant, exp(-i t) + exp(i t) = 2 Re(exp(-i t)), in place.
+        cosine = det(roots.real)
+        cosine *= 2.0**m
+        block += cosine
+        np.multiply(0.5, block, out=block)
     return block
 
 
@@ -280,26 +303,32 @@ def build_smatrix(ctx):
     den = math.lcm(rs._gram_den, levi._gram_den)
     orth = np.array(rs._gram_num) * (den // rs._gram_den)
     orth[np.ix_(J, J)] -= np.array(levi._gram_num) * (den // levi._gram_den)
-    n, total = len(shifted), 0
-    # Per coset: n^2 determinants, integer phases and their exponentials.
-    step = max(1, _BLOCK_BYTES // (n * n * 64))
+    n, m = len(shifted), levi.rank + (levi.type.family == "A")
+    # The sum over several cosets; one coset's determinants become S.
+    total = np.zeros((n, n), dtype=np.complex128) if len(signs) > 1 else None
+    # Per coset: n^2 determinants, integer phases and their exponentials,
+    # and the m x m index stacks of its determinants (_determinant_sum).
+    step = max(1, _BLOCK_BYTES // (n * n * (64 + 40 * m * m)))
     for lo in range(0, len(signs), step):
         moved = np.einsum("uij,nj->uni", mats[lo : lo + step], shifted)
         moved = moved.reshape(-1, rs.rank)
         block = _determinant_sum(
-            levi, kappa, moved[:, J], shifted[:, J], shared=len(signs) == 1
+            levi, kappa, moved[:, J], shifted[:, J], shared=total is None
         )
-        if len(signs) > 1:  # orth is 0 for one coset (A-D)
+        if total is None:  # one coset (A-D): orth is 0 and its sign 1
+            total = block
+            total += 0  # -0.0 becomes 0.0, as in a sum started at 0
+        else:
             phases = (moved @ orth @ shifted.T) % (den * kappa)
             block *= np.exp(-2j * np.pi / (den * kappa) * phases)
-        block = block.reshape(-1, n, n)
-        total = total + np.tensordot(signs[lo : lo + step], block, 1)
+            total += np.tensordot(signs[lo : lo + step], block.reshape(-1, n, n), 1)
     pref = (1j) ** (rs.num_positive_roots % 4) / math.sqrt(
         rs.coroot_lattice_index * kappa**rs.rank
     )
-    sm = SMatrix(ctx, pref * total)
+    np.multiply(pref, total, out=total)
+    sm = SMatrix(ctx, total)
     sm.residual = sm.unitarity_residual()
-    if sm.residual > 1e-6:
+    if not sm.residual <= 1e-6:  # also a NaN residual
         raise NumericDegradationError(f"S-matrix unitarity residual {sm.residual:.3e}")
     return sm
 

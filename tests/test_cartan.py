@@ -479,7 +479,9 @@ BETA_CHAINS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(BETA_CHAINS))
+@pytest.mark.parametrize(
+    "key", sorted(BETA_CHAINS), ids=lambda key: "{}{}-vertex{}".format(*key)
+)
 def test_beta_chain_values(key, make_rs):
     family, r, a = key
     bc = verify_beta_chain(make_rs(family, r), a)

@@ -15,6 +15,7 @@ import pytest
 
 import fusionq
 from fusionq import FusionContext, SMatrix, build_root_system
+from fusionq import cli
 from fusionq.cli import main
 from fusionq.fusion import basis_product_rows
 
@@ -192,9 +193,10 @@ def test_smatrix_e7(capsys):
 # recorded from the shared-minor determinants: the 15 significant digits it
 # prints show the float noise of the determinant method (most strings that
 # moved from the np.linalg.det path were near-zero imaginary parts), so
-# test_smatrix.py::test_shared_minors_match_det_path holds these four
-# matrices to that path within 1e-14.  ring tables are pinned for every
-# family, recorded from per-pair products.
+# test_smatrix.py::test_shared_minors_match_det_path holds these five
+# matrices to that path within 1e-14.  A1 k2 has exact zeros, which it
+# prints as "0", never "-0".  ring tables are pinned for every family,
+# recorded from per-pair products.
 OUTPUT_DIGESTS = {
     ("verify", "A", 3, 3):
         "8e58e41ae75639f0a64744353dd76f590c9d5479d485df0a648aad82edbafc30",
@@ -210,6 +212,8 @@ OUTPUT_DIGESTS = {
         "753e7bee17a368e166f1c003143d5c833c1ecca69f2cc9861ae3f25440fd70ca",
     ("verify", "E", 6, 4):
         "f61aca08431133c97eb7c3bdc265d10f4f495f0895644a04bfdcd9bcb3132efc",
+    ("smatrix", "A", 1, 2):
+        "f157bec36f1d23823cd437ebd4c17302d9e0e72228a0fe6962249a9e9aafe5fa",
     ("smatrix", "A", 3, 3):
         "9ff0e711608a75c49116ac0ce6b27428722108fdeb5a4a50ae44523333905713",
     ("smatrix", "B", 3, 2):
@@ -536,3 +540,49 @@ def test_smatrix_residual_computed_once(monkeypatch, capsys):
     assert code == 0 and len(calls) == 1
     assert f"unitarity residual {calls[0]:.3e}" in err
     assert json.loads(out)["unitarity_residual"] == f"{calls[0]:.6g}"
+
+
+@pytest.mark.parametrize(
+    "report_slice", [cli._REPORT_SLICE, 7], ids=["default-slice", "slice-7"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "A", "--rank", "3", "--level", "3"),
+        ("--family", "G", "--rank", "2", "--level", "2"),
+        ("--family", "A", "--rank", "2", "--level", "3", "--tol", "1e-300"),
+    ],
+    ids=["longer-than-a-slice", "unsupported-with-notes", "failing"],
+)
+def test_verify_writer_matches_one_dumps(argv, report_slice, tmp_path, monkeypatch,
+                                         capsys):
+    """The report written a field and a slice at a time has the bytes of one
+    compact json.dumps of every report's to_obj(), on stdout and through
+    --out.  A3 k3's conjecture and kns reports have 288 and 293 items, more
+    than one slice; G2 k2's restricted and kns reports are unsupported, and
+    three reports carry notes; A2 k3 at --tol 1e-300 fails 48 kns items,
+    which are its counterexamples.  In slices of 7 the lists end in a part
+    slice."""
+    monkeypatch.setattr(cli, "_REPORT_SLICE", report_slice)
+    write = cli._write_reports
+    seen = []
+
+    def kept(fh, reports):
+        seen.append(reports)
+        write(fh, reports)
+
+    monkeypatch.setattr(cli, "_write_reports", kept)
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    target = tmp_path / "verify.json"
+    assert run_cli(capsys, "verify", *argv, "--out", str(target))[:2] == (code, "")
+    first, second = seen
+    expected = json.dumps([rep.to_obj() for rep in first], separators=(",", ":")) + "\n"
+    assert out == expected
+    assert json.dumps([rep.to_obj() for rep in second], separators=(",", ":")) + "\n" == expected
+    assert target.read_bytes() == expected.encode()
+    if "--tol" in argv:
+        assert code == 1 and max(len(rep.counterexamples) for rep in first) == 48
+    elif "G" in argv:
+        assert code == 0 and sum(bool(rep.notes) for rep in first) == 3
+    else:
+        assert code == 0 and [len(rep.items) for rep in first] == [288, 6, 27, 293]

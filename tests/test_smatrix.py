@@ -167,13 +167,16 @@ def _det_path_smatrix(ctx, monkeypatch):
         return build_smatrix(ctx).matrix
 
 
-@pytest.mark.parametrize("block_bytes", [_BLOCK_BYTES, 1 << 14, 1])
+# Budgets for the column blocks of the shared minors.  16 MiB takes every
+# column of these small cases in one block, as the default budget does; the
+# ids stay the same when the default changes.
+@pytest.mark.parametrize("block_bytes", [1 << 24, 1 << 14, 1])
 @pytest.mark.parametrize("family,rank", CLASSICAL)
 def test_shared_minors_match_det_path(family, rank, block_bytes, make_ctx, monkeypatch):
     """The one-coset S-matrix from shared minors equals the np.linalg.det
-    path, also in column blocks of a few columns or of one.  This holds the
-    four S-matrices whose smatrix JSON is pinned in OUTPUT_DIGESTS (A3 k3,
-    B3 k2, C3 k2, D4 k2) to that path within 1e-14."""
+    path, in one column block, in blocks of a few columns or of one.  This
+    holds the five S-matrices whose smatrix JSON is pinned in OUTPUT_DIGESTS
+    (A1 k2, A3 k3, B3 k2, C3 k2, D4 k2) to that path within 1e-14."""
     for level in (1, 2, 3):
         ctx = make_ctx(family, rank, level)
         ref = _det_path_smatrix(ctx, monkeypatch)
@@ -182,7 +185,7 @@ def test_shared_minors_match_det_path(family, rank, block_bytes, make_ctx, monke
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("block_bytes", [_BLOCK_BYTES, 1])
+@pytest.mark.parametrize("block_bytes", [1 << 24, 1])
 def test_shared_minors_hand_made_rows(block_bytes, monkeypatch):
     """Rows in unsorted value order take the sign of their sorting
     permutation, and a row with a repeated value is exactly 0."""
@@ -241,10 +244,83 @@ def _peak_bytes(fn, *args):
 def test_smatrix_peak_memory(make_ctx):
     """tracemalloc sees numpy buffers: the A5 k5 build stays far below the
     (720, 252, 252) complex Weyl-sum intermediate, and the coset builds of
-    E6 and E8 (2160 cosets) stay within the block budget."""
+    E6 and E8 (2160 cosets, with the index stacks of their determinants)
+    stay within the block budget.  The A6 k6 build holds S (924 x 924
+    complex, 13.0 MiB) and at most twice the budget besides: the shared
+    minors' columns, then the residual's row blocks."""
     assert _peak_bytes(build_smatrix, make_ctx("A", 5, 5)) < 200 * 2**20
     for key in [("E", 6, 4), ("E", 8, 4)]:
         assert _peak_bytes(build_smatrix, make_ctx(*key)) < _BLOCK_BYTES + 2**20
+    ctx = make_ctx("A", 6, 6)
+    n = len(ctx.basis)
+    assert _peak_bytes(build_smatrix, ctx) <= 16 * n * n + 2 * _BLOCK_BYTES
+
+
+def _dense_residual(S):
+    """max |S S-dagger - I| from the whole product, as one BLAS call."""
+    return float(np.max(np.abs(S @ S.conj().T - np.eye(len(S)))))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 14])
+@pytest.mark.parametrize(
+    "family,rank,level",
+    [("A", 4, 3), ("D", 4, 2), ("G", 2, 3), ("E", 6, 2)],
+    ids=str,
+)
+def test_blocked_residual_matches_dense(family, rank, level, block_bytes, make_sm,
+                                        monkeypatch):
+    """The residual from row blocks of the upper block triangle equals the
+    dense max |S S-dagger - I|: within float noise on S itself, and to
+    1e-12 relative on copies of S made non-unitary.  Row i leaning toward
+    row j puts the largest entry at (i, j) and (j, i), off the diagonal
+    blocks; a scaled last row puts it on the diagonal of the last block.  A
+    NaN gives NaN.  One-coset (A4, D4) and multi-coset (G2, E6) matrices,
+    in row blocks of one row or of a few (A4 k3 at 1 << 14: 35 rows in
+    blocks of 11, the last of 2)."""
+    sm = make_sm(family, rank, level)
+    S = sm.matrix
+    n = len(S)
+    monkeypatch.setattr(smatrix, "_BLOCK_BYTES", block_bytes)
+    if (family, block_bytes) == ("A", 1 << 14):
+        step = block_bytes // (40 * n)
+        assert 1 < step < n and n % step
+    assert abs(sm.unitarity_residual() - _dense_residual(S)) <= 1e-15
+    for i, j, delta in [(0, n - 1, 1e-3), (n // 2, 1, 5e-4j), (n - 1, n - 1, -2e-3)]:
+        bad = S.copy()
+        bad[i] += delta * S[j]
+        got = smatrix.SMatrix(sm.ctx, bad).unitarity_residual()
+        assert got > 1e-4
+        assert got == pytest.approx(_dense_residual(bad), rel=1e-12)
+    bad = S.copy()
+    bad[n - 1, n // 2] = np.nan
+    assert math.isnan(smatrix.SMatrix(sm.ctx, bad).unitarity_residual())
+
+
+@pytest.mark.parametrize(
+    "family,rank,level",
+    [("A", 1, 2), ("A", 3, 3), ("B", 3, 2), ("C", 3, 2), ("D", 4, 2)],
+    ids=str,
+)
+def test_blocked_residual_text(family, rank, level, make_sm):
+    """On the S-matrices whose smatrix JSON is pinned in OUTPUT_DIGESTS, the
+    residual text it prints (.6g) is that of the dense formula."""
+    sm = make_sm(family, rank, level)
+    assert f"{sm.residual:.6g}" == f"{_dense_residual(sm.matrix):.6g}"
+
+
+def test_nan_smatrix_is_numeric_degradation(make_ctx, monkeypatch):
+    """A NaN in S fails the unitarity check instead of passing it."""
+    ctx = make_ctx("A", 2, 3)
+    det_sum = smatrix._determinant_sum
+
+    def with_nan(*args, **kwargs):
+        out = det_sum(*args, **kwargs)
+        out[-1, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(smatrix, "_determinant_sum", with_nan)
+    with pytest.raises(smatrix.NumericDegradationError, match="residual nan"):
+        build_smatrix(ctx)
 
 
 @pytest.mark.parametrize(
