@@ -4,23 +4,13 @@ The qsystem and smatrix names import their module on first use."""
 
 import importlib
 
-from .cartan import (
-    BetaChain,
-    BetaChainError,
-    DynkinType,
-    RootSystem,
-    WeightSystem,
-    build_root_system,
-    verify_beta_chain,
-)
+from .cartan import DynkinType, RootSystem, WeightSystem, build_root_system
 from .fusion import (
     FusionContext,
     NumericDegradationError,
-    ReducedWeight,
     ReductionLimitError,
     ReductionOverflowError,
     affinize,
-    alcove_reduce,
     alcove_reduce_many,
     apply_outer,
     conjugate,
@@ -34,14 +24,13 @@ __version__ = "0.1.0"
 # The qsystem and smatrix names, each with its defining module.
 _LAZY = dict.fromkeys(
     ["ConjectureReport", "KNSReport", "KRDataUnavailableError", "RestrictedSolution",
-     "WGrid", "admissibility_matrix", "boundary_check", "check_conjecture",
-     "check_unrestricted", "coupling_matrix", "kns_report", "kr_classical_components",
-     "kr_element", "open_index_set", "period_multiplier", "restricted_solution",
-     "solve_f_system", "supported_vertices"],
+     "WGrid", "boundary_check", "check_conjecture", "check_unrestricted",
+     "coupling_matrix", "kns_report", "kr_classical_components", "kr_element",
+     "open_index_set", "period_multiplier", "restricted_solution", "solve_f_system",
+     "supported_vertices"],
     "qsystem",
 ) | dict.fromkeys(
-    ["SMatrix", "build_smatrix", "generalized_qdim", "qdim_table", "smatrix_entry",
-     "verlinde_coefficient", "verlinde_matrix", "weyl_group"],
+    ["SMatrix", "build_smatrix", "qdim_table", "verlinde_coefficient"],
     "smatrix",
 )
 
@@ -60,15 +49,12 @@ def __dir__():
 
 
 __all__ = [
-    "BetaChain",
-    "BetaChainError",
     "ConjectureReport",
     "DynkinType",
     "FusionContext",
     "KNSReport",
     "KRDataUnavailableError",
     "NumericDegradationError",
-    "ReducedWeight",
     "ReductionLimitError",
     "ReductionOverflowError",
     "RestrictedSolution",
@@ -76,9 +62,7 @@ __all__ = [
     "SMatrix",
     "WGrid",
     "WeightSystem",
-    "admissibility_matrix",
     "affinize",
-    "alcove_reduce",
     "alcove_reduce_many",
     "apply_outer",
     "boundary_check",
@@ -91,7 +75,6 @@ __all__ = [
     "enumerate_basis",
     "fusion_product",
     "fusion_products",
-    "generalized_qdim",
     "kns_report",
     "kr_classical_components",
     "kr_element",
@@ -99,11 +82,7 @@ __all__ = [
     "period_multiplier",
     "qdim_table",
     "restricted_solution",
-    "smatrix_entry",
     "solve_f_system",
     "supported_vertices",
-    "verify_beta_chain",
     "verlinde_coefficient",
-    "verlinde_matrix",
-    "weyl_group",
 ]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 import numpy as np
 
@@ -31,10 +30,6 @@ _RANK_BOUNDS = {
     "F": (4, 4),
     "G": (2, 2),
 }
-
-
-class BetaChainError(ValueError):
-    """No admissible root chain exists at some pairing level."""
 
 
 @dataclass(frozen=True)
@@ -253,7 +248,6 @@ class RootSystem:
 
         self._mult_cache = {}
         self._dim_cache = {}
-        self._chain_cache = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -455,13 +449,6 @@ class RootSystem:
                 return False
         return True
 
-    def in_root_lattice_cone(self, x):
-        """True when x has non-negative integer simple-root coordinates."""
-        for c in self.root_coordinates(x):
-            if c.denominator != 1 or c < 0:
-                return False
-        return True
-
     # -- representation theory ------------------------------------------------
 
     def weyl_dimension(self, lam):
@@ -598,70 +585,9 @@ class WeightSystem:
         self.weights.flags.writeable = False
         self.mults.flags.writeable = False
 
-    @property
-    def multiplicity(self):
-        """Read-only {weight tuple: multiplicity} view, built on each access."""
-        return MappingProxyType(
-            dict(zip(map(tuple, self.weights.tolist()), self.mults.tolist()))
-        )
-
-    @property
-    def dim(self):
-        return int(self.mults.sum())
-
-    def items(self):
-        return self.multiplicity.items()
-
-
-@dataclass(frozen=True)
-class BetaChain:
-    """A chain of positive roots interpolating alpha_a to the highest root.
-
-    chain[l-1] is the chosen root with (omega_a | beta) = 1 and
-    (rho | beta) = l, stored in simple-root coordinates.
-    """
-
-    vertex: int
-    chain: tuple
-
 
 def build_root_system(family, rank=None):
     """Construct a RootSystem from a family letter and rank, or a DynkinType."""
     if isinstance(family, DynkinType):
         return RootSystem(family)
     return RootSystem(DynkinType(str(family).upper(), int(rank)))
-
-
-def verify_beta_chain(rs, a):
-    """Find the admissible root chain attached to a minuscule vertex.
-
-    For each level l = 1 .. dual Coxeter number - 1 there must be a positive
-    root beta with (omega_a | beta) = 1 and (rho | beta) = l; the chain keeps
-    the lexicographically smallest root coordinates at each level.  Raises
-    BetaChainError naming the first level with no admissible root.
-    """
-    if a not in rs.minuscule_vertices:
-        raise ValueError(f"vertex {a} is not minuscule for {rs.type}")
-    cached = rs._chain_cache.get(a)
-    if cached is not None:
-        return cached
-    omega = rs.fundamental_weight(a)
-    chain = []
-    for l in range(1, rs.dual_coxeter):
-        hits = []
-        for x, rc in zip(rs.positive_roots, rs.positive_root_coords):
-            if rs.ip(omega, x) == 1 and rs.ip(rs.rho, x) == l:
-                hits.append(rc)
-        if not hits:
-            raise BetaChainError(
-                f"{rs.type} vertex {a}: no admissible root at pairing level {l}"
-            )
-        chain.append(min(hits))
-    first = tuple(int(i == a - 1) for i in range(rs.rank))
-    if chain[0] != first:
-        raise AssertionError("chain must start at alpha_a")
-    if chain[-1] != rs.highest_root_coords:
-        raise AssertionError("chain must end at the highest root")
-    result = BetaChain(vertex=a, chain=tuple(chain))
-    rs._chain_cache[a] = result
-    return result

@@ -201,11 +201,30 @@ def cmd_smatrix(args):
 
 
 def _horizon(text):
-    """Parse --horizon: an integer, or 'auto' (None) for one full period."""
+    """Parse --horizon: an integer >= 0, or 'auto' (None) for one full period."""
+    if text == "auto":
+        return None
     try:
-        return None if text == "auto" else int(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer or 'auto', got {text!r}")
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0 or 'auto', got {text!r}"
+        )
+    return value
+
+
+def _tol(text):
+    """Parse --tol: a finite number >= 0.  A NaN bound would pass any
+    residual, since every comparison with NaN is false."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _build_parser():
@@ -230,7 +249,7 @@ def _build_parser():
     smatrix = subcommand("smatrix", "export the modular S-matrix")
     smatrix.add_argument("--format", default="json", choices=["json", "csv"])
     for p in (verify, smatrix):
-        p.add_argument("--tol", default=1e-9, type=float)
+        p.add_argument("--tol", default=1e-9, type=_tol)
     return parser
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,13 +44,6 @@ class ReductionOverflowError(ReductionLimitError):
 
 class NumericDegradationError(ArithmeticError):
     """A floating-point quantity drifted past its admissible residual."""
-
-
-class ReducedWeight(NamedTuple):
-    """Outcome of one alcove reduction: sign 0 means annihilated on a wall."""
-
-    sign: int
-    weight: tuple | None
 
 
 def enumerate_basis(rs, level):
@@ -348,54 +340,13 @@ def affinize(ctx, finite):
     return (ctx.level - body,) + tuple(finite)
 
 
-def alcove_reduce(ctx, w, policy="first"):
-    """Reduce an affine weight to the fundamental alcove under the shifted
-    affine Weyl action.
-
-    Returns ReducedWeight(sign, weight): sign 0 when the shifted weight
-    lands on a wall (the term vanishes), otherwise +/-1 tracking reflection
-    parity with the dominant representative.
-
-    policy picks which negative coordinate to reflect at ("first", "last",
-    or a callable on the index list); the result is policy-independent.
-    """
-    rs = ctx.rs
-    if len(w) != rs.rank + 1:
-        raise ValueError("affine weight has wrong length")
-    if sum(c * x for c, x in zip(rs.comarks, w)) != ctx.level:
-        raise ValueError(f"weight {w} does not have level {ctx.level}")
-    if policy == "first":
-        pick = lambda idx: idx[0]
-    elif policy == "last":
-        pick = lambda idx: idx[-1]
-    elif callable(policy):
-        pick = policy
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-
-    rows = rs.affine_reflection_rows
-    mu = [x + 1 for x in w]
-    sign = 1
-    for _ in range(_REDUCE_CAP):
-        if any(c == 0 for c in mu):
-            return ReducedWeight(0, None)
-        negs = [i for i, c in enumerate(mu) if c < 0]
-        if not negs:
-            return ReducedWeight(sign, tuple(c - 1 for c in mu))
-        i = pick(negs)
-        c = mu[i]
-        row = rows[i]
-        mu = [m - c * rv for m, rv in zip(mu, row)]
-        sign = -sign
-    raise ReductionLimitError(f"no convergence after {_REDUCE_CAP} reflections")
-
-
 def alcove_reduce_many(ctx, weights):
     """Reduce a batch of level-k affine weights to the fundamental alcove.
 
     weights is an (N, rank+1) integer array.  Returns (signs, idx): N int64
-    signs and N int64 basis indices, row by row what alcove_reduce returns
-    (ctx.basis[idx] is the reduced weight; idx is -1 where the sign is 0).
+    signs and N int64 basis indices, row by row what the scalar reference
+    alcove_reduce in tests/reference.py returns (ctx.basis[idx] is the
+    reduced weight; idx is -1 where the sign is 0).
 
     Works on the shifted weights mu = w + rho.  The shifted affine Weyl
     group is W extended by the translations kappa Q-vee (kappa = k + h-vee),

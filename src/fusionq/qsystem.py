@@ -522,16 +522,6 @@ def restricted_solution(ctx, grid=None):
     return sol
 
 
-def admissibility_matrix(ctx, a, m, solution=None):
-    """Multiplication matrix of R^(a)_m on the fusion basis, as integers:
-    row i is R^(a)_m times basis[i]."""
-    if solution is None:
-        solution = restricted_solution(ctx)
-    R = solution.get(a, m)
-    units = np.eye(len(ctx.basis), dtype=np.int64)
-    return fusion_products(ctx, [(R, e) for e in units])
-
-
 # -- quantum dimension tables and the damped product system -------------------
 
 

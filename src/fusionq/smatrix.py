@@ -9,7 +9,7 @@ one coset the determinants are the shared minors of one small table per
 column; the coset-moved rows of E, F and G take np.linalg.det.  S is one
 n x n buffer: the one coset's determinants scaled in place, or the sum the
 cosets are added into.  Work goes in blocks sized from _BLOCK_BYTES, the
-unitarity residual too.  The explicit Weyl-group sum
+unitarity residual too.  The explicit Weyl-group sum in tests/reference.py
 (weyl_group, smatrix_entry) is the reference it is tested against.
 """
 
@@ -23,7 +23,6 @@ import numpy as np
 from .cartan import build_root_system
 from .fusion import NumericDegradationError
 
-_WEYL_RANK_CAP = 6
 # Working-set budget for one block of cosets, determinant rows, minor
 # columns or residual rows.
 _BLOCK_BYTES = 1 << 22
@@ -37,49 +36,6 @@ _LEVI = {
 }
 
 
-def weyl_group(rs):
-    """All Weyl group elements as matrices on fundamental-weight coordinates.
-
-    Returns (mats, signs): an (N, r, r) int array of matrices acting on
-    column vectors and an (N,) array of determinant signs.  Cached on rs.
-    """
-    cached = getattr(rs, "_weyl_cache", None)
-    if cached is not None:
-        return cached
-    r = rs.rank
-    if r > _WEYL_RANK_CAP:
-        raise ValueError(
-            f"Weyl group enumeration is capped at rank {_WEYL_RANK_CAP}; "
-            f"{rs.type} has rank {r}"
-        )
-    gens = []
-    for i in range(r):
-        m = np.eye(r, dtype=np.int64)
-        # s_i subtracts x_i times alpha_i.
-        m[:, i] -= np.array(rs.simple_roots[i], dtype=np.int64)
-        gens.append(m)
-    ident = np.eye(r, dtype=np.int64)
-    seen = {ident.tobytes()}
-    mats = [ident]
-    signs = [1]
-    frontier = [(ident, 1)]
-    while frontier:
-        nxt = []
-        for m, s in frontier:
-            for g in gens:
-                gm = g @ m
-                key = gm.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    mats.append(gm)
-                    signs.append(-s)
-                    nxt.append((gm, -s))
-        frontier = nxt
-    result = (np.stack(mats), np.array(signs, dtype=np.int64))
-    rs._weyl_cache = result
-    return result
-
-
 class SMatrix:
     """The modular S-matrix over one level's basis.  build_smatrix sets
     residual, the unitarity residual it checked."""
@@ -91,9 +47,6 @@ class SMatrix:
 
     def index(self, w):
         return self.ctx.basis_index[tuple(w)]
-
-    def entry(self, la, mu):
-        return self.matrix[self.index(la), self.index(mu)]
 
     def unitarity_residual(self):
         """max |S S-dagger - I| from row blocks of the upper block triangle:
@@ -112,9 +65,6 @@ class SMatrix:
             block[diag, diag] -= 1
             worst.append(np.abs(block).max())
         return float(np.max(worst))
-
-    def symmetry_residual(self):
-        return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
 
 def _epsilon_map(rs):
@@ -333,27 +283,6 @@ def build_smatrix(ctx):
     return sm
 
 
-def smatrix_entry(ctx, la, mu):
-    """One S-matrix entry from the raw sum, for arbitrary finite weights.
-
-    la and mu are finite weight tuples, not necessarily dominant; this is
-    the direct evaluation used to probe the shifted-action symmetry.
-    """
-    rs = ctx.rs
-    mats, signs = weyl_group(rs)
-    kappa = ctx.level + rs.dual_coxeter
-    la1 = np.array([x + 1 for x in la], dtype=np.int64)
-    mu1 = np.array([[float(x) for x in row] for row in rs.gram]) @ np.array(
-        [x + 1 for x in mu], dtype=np.float64
-    )
-    phases = (mats @ la1) @ mu1
-    total = (signs * np.exp(-2j * np.pi * phases / kappa)).sum()
-    pref = (1j) ** (rs.num_positive_roots % 4) / math.sqrt(
-        rs.coroot_lattice_index * kappa**rs.rank
-    )
-    return pref * total
-
-
 def verlinde_coefficient(sm, la, mu, nu, resid_tol=1e-6):
     """Fusion coefficient from the Verlinde sum, rounded to an integer.
 
@@ -373,20 +302,6 @@ def verlinde_coefficient(sm, la, mu, nu, resid_tol=1e-6):
     return int(n)
 
 
-def verlinde_matrix(sm, resid_tol=1e-6):
-    """All fusion coefficients N[i][j][l] from the Verlinde sums at once."""
-    S = sm.matrix
-    zero = sm.ctx.basis_index[sm.ctx.unit_weight]
-    raw = np.einsum("iw,jw,lw->ijl", S, S, S.conj() / S[zero][None, :])
-    out = np.rint(raw.real).astype(np.int64)
-    resid = float(np.max(np.abs(raw - out)))
-    if resid > resid_tol:
-        raise NumericDegradationError(
-            f"Verlinde tensor residual {resid:.3e} exceeds {resid_tol}"
-        )
-    return out, resid
-
-
 def qdim_table(sm, elems):
     """Generalized quantum dimensions of every element at every probe:
     entry (i, j) is sum_la Z_la S[la, mu_j] / S[0, mu_j] for Z = elems[i],
@@ -394,8 +309,3 @@ def qdim_table(sm, elems):
     S = sm.matrix
     return sm.ctx._rows(elems, (-1,)) @ S / S[sm.index(sm.ctx.unit_weight)]
 
-
-def generalized_qdim(sm, u, mu):
-    """qdim of the row u at a probe weight mu-hat: sum of Z_la * S[la, mu] /
-    S[0, mu]."""
-    return complex(qdim_table(sm, [u])[0, sm.index(mu)])

@@ -11,12 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fusionq import (
-    BetaChainError,
-    DynkinType,
-    build_root_system,
-    verify_beta_chain,
-)
+from fusionq import DynkinType, build_root_system
+from reference import BetaChainError, in_root_lattice_cone, verify_beta_chain
 
 CARTAN = {
     ("A", 3): ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
@@ -198,6 +194,11 @@ def test_e8_adjoint_dimension(make_rs):
     assert rs.weyl_dimension(theta) == 248
 
 
+def _table(ws):
+    """{weight tuple: multiplicity} of a weight system."""
+    return dict(zip(map(tuple, ws.weights.tolist()), ws.mults.tolist()))
+
+
 def test_weight_multiplicities_adjoint(make_rs):
     """The adjoint weight system: roots once, zero with multiplicity rank."""
     for fam, r, adjoint in [
@@ -209,30 +210,31 @@ def test_weight_multiplicities_adjoint(make_rs):
     ]:
         rs = make_rs(fam, r)
         ws = rs.weight_multiplicities(adjoint)
-        assert ws.dim == rs.weyl_dimension(adjoint)
-        assert ws.multiplicity[(0,) * r] == r
+        assert ws.mults.sum() == rs.weyl_dimension(adjoint)
+        table = _table(ws)
+        assert table[(0,) * r] == r
         for alpha in rs.positive_roots:
-            assert ws.multiplicity[alpha] == 1
+            assert table[alpha] == 1
 
 
 def test_weight_multiplicities_vector_at_rank_40(make_rs):
     """Orbit rows are deduplicated without a bound on rank: base-3 keys of
     the A40 vector representation's labels would pass 2**63."""
     ws = make_rs("A", 40).weight_multiplicities((1,) + (0,) * 39)
-    assert ws.dim == len(set(map(tuple, ws.weights.tolist()))) == 41
+    assert ws.mults.sum() == len(set(map(tuple, ws.weights.tolist()))) == 41
 
 
 def test_weight_multiplicities_spinor(make_rs):
     # B3 spinor: 8 extreme weights, all multiplicity one
     ws = make_rs("B", 3).weight_multiplicities((0, 0, 1))
-    assert ws.dim == 8
-    assert set(ws.multiplicity.values()) == {1}
+    assert ws.mults.sum() == 8
+    assert set(ws.mults.tolist()) == {1}
 
 
 def test_weight_system_dims_match_weyl(make_rs):
     rs = make_rs("C", 3)
     for lam in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 1)]:
-        assert rs.weight_multiplicities(lam).dim == rs.weyl_dimension(lam)
+        assert rs.weight_multiplicities(lam).mults.sum() == rs.weyl_dimension(lam)
 
 
 def _reference_weight_multiplicities(rs, lam):
@@ -254,7 +256,7 @@ def _reference_weight_multiplicities(rs, lam):
                 ok = dom_ok.get(d)
                 if ok is None:
                     diff = tuple(a - b for a, b in zip(lam, d))
-                    ok = dom_ok[d] = rs.in_root_lattice_cone(diff)
+                    ok = dom_ok[d] = in_root_lattice_cone(rs, diff)
                 if ok:
                     weights.add(y)
                     nxt.append(y)
@@ -297,7 +299,7 @@ def test_weight_systems_match_reference(family, rank, level, make_ctx):
         lam = la[1:]
         ws = ctx.rs.weight_multiplicities(lam)
         expect = _reference_weight_multiplicities(ctx.rs, lam)
-        assert dict(ws.multiplicity) == expect, lam
+        assert _table(ws) == expect, lam
 
 
 @pytest.mark.parametrize("family,rank,level", [("D", 6, 4), ("E", 6, 4)])
@@ -316,7 +318,7 @@ def test_weight_system_invariants(family, rank, level, make_ctx):
     for la in ctx.basis:
         lam = la[1:]
         ws = rs.weight_multiplicities(lam)
-        assert ws.dim == rs.weyl_dimension(lam)
+        assert ws.mults.sum() == rs.weyl_dimension(lam)
         assert ws.weights.shape == (len(ws.mults), rs.rank)
         assert ws.weights.dtype == ws.mults.dtype == np.int64
         weights, mults = sorted_rows(ws.weights, ws.mults)
@@ -338,9 +340,7 @@ def test_weight_system_is_read_only(make_rs):
         ws.weights[0, 0] = 7
     with pytest.raises(ValueError):
         ws.mults[0] = 7
-    with pytest.raises(TypeError):
-        ws.multiplicity[(0, 0)] = 7
-    assert ws.multiplicity[(0, 0)] == 2
+    assert _table(ws)[(0, 0)] == 2
 
 
 OUTER = {
@@ -467,10 +467,10 @@ def test_in_coroot_lattice(make_rs):
 
 def test_in_root_lattice_cone(make_rs):
     a2 = make_rs("A", 2)
-    assert a2.in_root_lattice_cone((1, 1))
-    assert a2.in_root_lattice_cone((2, -1))  # alpha_1 itself
-    assert not a2.in_root_lattice_cone((-2, 1))
-    assert not a2.in_root_lattice_cone((1, 0))
+    assert in_root_lattice_cone(a2, (1, 1))
+    assert in_root_lattice_cone(a2, (2, -1))  # alpha_1 itself
+    assert not in_root_lattice_cone(a2, (-2, 1))
+    assert not in_root_lattice_cone(a2, (1, 0))
 
 
 BETA_CHAINS = {

@@ -280,10 +280,18 @@ def test_usage_errors(argv, capsys):
         ("verify", "--family", "A", "--rank", "2", "--level", "2", "--threads", "2"),
         ("verify", "--family", "A", "--rank", "2", "--level", "2", "--format", "csv"),
         ("smatrix", "--family", "A", "--rank", "2", "--level", "2", "--horizon", "3"),
+        # A negative horizon would check almost nothing and still pass; a
+        # NaN bound would pass any residual.
+        ("verify", "--family", "A", "--rank", "2", "--level", "3",
+         "--horizon", "-1"),
+        ("smatrix", "--family", "A", "--rank", "2", "--level", "2", "--tol", "nan"),
+        ("smatrix", "--family", "A", "--rank", "2", "--level", "2", "--tol", "inf"),
+        ("verify", "--family", "A", "--rank", "2", "--level", "2", "--tol", "-1e-9"),
     ],
     ids=[
         "bad-horizon", "bad-family", "ring-tol", "ring-horizon",
         "verify-threads", "verify-format", "smatrix-horizon",
+        "negative-horizon", "nan-tol", "inf-tol", "negative-tol",
     ],
 )
 def test_argument_errors_exit_2(argv, capsys):

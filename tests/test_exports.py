@@ -6,12 +6,14 @@ import types
 import pytest
 
 import fusionq
+import reference
 
 
 def test_all_is_sorted_and_complete():
     """__all__ is sorted and is exactly the names bound on import plus the
     names served on first use.  Each resolves through getattr to the object
-    of its defining module, and dir() lists them all."""
+    of its defining module, and dir() lists them all.  No name defined in
+    tests/reference.py is reachable from the package."""
     eager = {
         name
         for name, value in vars(fusionq).items()
@@ -34,3 +36,11 @@ def test_all_is_sorted_and_complete():
     assert fusionq.smatrix.NumericDegradationError is fusionq.NumericDegradationError
     with pytest.raises(AttributeError):
         fusionq.no_such_name
+    # The test references are not part of the package.
+    defined = [
+        name
+        for name, value in vars(reference).items()
+        if getattr(value, "__module__", None) == "reference"
+    ]
+    assert "alcove_reduce" in defined
+    assert not [name for name in defined if hasattr(fusionq, name)]
