@@ -17,7 +17,9 @@ from contextlib import nullcontext
 import numpy as np
 
 from .cartan import DynkinType, build_root_system
-from .fusion import FusionContext, NumericDegradationError, basis_product_rows
+from .fusion import (
+    FusionContext, NumericDegradationError, _ranges, _slices, basis_product_rows,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,8 +62,11 @@ def cmd_ring(args):
     written, so a failed run leaves no partial output file.  The report has
     the bytes of one compact json.dumps of the whole object, written one row
     of products at a time: each write is a system call when stdout is
-    unbuffered.  The text of each unordered pair's product is built once,
-    from the text of each distinct (basis index, coefficient) term.
+    unbuffered.  The text of each distinct (basis index, coefficient) term
+    is built once, and each row is one join of such texts and the products'
+    heads.  Rows are gathered in blocks, as many whole rows as hold at most
+    a slice of terms (see fusion._slices), so beyond the product table the
+    writer holds one block's terms at a time.
     """
     ctx = _context(args)
     n = len(ctx.basis)
@@ -76,31 +81,53 @@ def cmd_ring(args):
         },
         separators=(",", ":"),
     )
-    # Sorted and deduplicated without np.unique, which imports numpy.ma.
-    code = coeffs * n + terms
-    pieces = np.sort(code)
-    pieces = pieces[np.diff(pieces, prepend=-1) > 0]
-    text = np.array(
-        [
-            '{"w":[%s],"c":%d}' % (",".join(map(str, ctx.basis[w])), c)
-            for c, w in zip(*np.divmod(pieces, n))
-        ],
-        dtype=object,
-    )[np.searchsorted(pieces, code)].tolist()
-    bounds = starts.tolist()
-    bodies = [",".join(text[s:e]) for s, e in zip(bounds, bounds[1:])]
-    at = at.tolist()
-    del code, pieces, text, bounds
+    # The text of each term that occurs, by its code, coefficient * n +
+    # basis index, found a slice of pairs at a time: text[code] as the first
+    # term of a product, text[size + code] after a comma.
+    size = (int(coeffs.max()) + 1) * n
+    seen = np.zeros(size, dtype=bool)
+    for lo, hi in _slices(starts):
+        span = slice(starts[lo], starts[hi])
+        seen[coeffs[span] * n + terms[span]] = True
+    codes = np.flatnonzero(seen)
+    del seen
+    alone = [
+        '{"w":[%s],"c":%d}' % (",".join(map(str, ctx.basis[w])), c)
+        for c, w in zip(*np.divmod(codes, n))
+    ]
+    text = np.empty(2 * size, dtype=object)
+    text[codes] = alone
+    text[size + codes] = ["," + t for t in alone]
+    del alone, codes
+    label = np.array([',"j":%d,"terms":[' % j for j in range(n)], dtype=object)
+    sizes = np.diff(starts)[at]
+    rows = np.concatenate(([0], np.cumsum(sizes.reshape(n, n).sum(axis=1))))
     with _output(args.out) as fh:
         fh.write(head[:-1] + ',"products":[')
-        for i in range(n):
-            row = ",".join(
-                [
-                    '{"i":%d,"j":%d,"terms":[%s]}' % (i, j, bodies[p])
-                    for j, p in enumerate(at[i * n : (i + 1) * n])
-                ]
+        for lo, hi in _slices(rows):
+            # Rows lo..hi-1 as one list of strings.  Product k of the block,
+            # (i, j), takes the items from place[k] on: an opening, which also
+            # closes the product before it in its row, label[j], then its
+            # terms.  One more item closes each row.
+            count = sizes[lo * n : hi * n]
+            span = _ranges(starts[at[lo * n : hi * n]], count)
+            first = np.cumsum(count) - count
+            k = np.arange(len(count))
+            place = first + 2 * k + k // n
+            items = np.empty(len(span) + len(place) * 2 + hi - lo, dtype=object)
+            items[place] = np.repeat(
+                np.array([']},{"i":%d' % i for i in range(lo, hi)], dtype=object), n
             )
-            fh.write("," + row if i else row)
+            items[place[::n]] = [("," if i else "") + '{"i":%d' % i for i in range(lo, hi)]
+            items[place + 1] = np.tile(label, hi - lo)
+            code = coeffs[span] * n + terms[span] + size
+            code[first] -= size
+            items[_ranges(place + 2, count)] = text[code]
+            ends = np.append(place[n::n], len(items))
+            items[ends - 1] = "]}"
+            items = items.tolist()
+            for s, e in zip([0, *ends[:-1].tolist()], ends.tolist()):
+                fh.write("".join(items[s:e]))
         fh.write("]}\n")
     return EXIT_OK
 
@@ -149,6 +176,10 @@ def cmd_verify(args):
         )
     else:
         reports.append(solution.report)
+        # Nothing below reads the fundamental generators, which would
+        # otherwise still be live when S is built; a later product that
+        # needs them rebuilds them.
+        ctx._generators = None
         sm = build_smatrix(ctx)
         kns = kns_report(ctx, sm, grid=grid, solution=solution, tol=args.tol)
         reports.append(kns.report)

@@ -22,7 +22,8 @@ _REDUCE_CAP = 10**6
 # Rows per alcove_reduce_many call of the reduction driver.  The context's
 # memo walks each box point once whatever the call size, so this bounds
 # only memory: filling C4 k4 vertex 3 in one call peaks near 41 MB under
-# tracemalloc, against 1.6 MB at this size.
+# tracemalloc, against 1.6 MB at this size.  _slices cuts the cache checks
+# and the ring writer to the same number of terms.
 _REDUCE_ROWS = 2**12
 # Float64 numbers of one partner chunk of basis_product_rows' recursion (more
 # only when one partner alone needs more).
@@ -92,6 +93,19 @@ def _ranges(starts, sizes):
     return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
+def _slices(bounds):
+    """Cut the items 0, ..., len(bounds) - 2, where item k holds the units
+    bounds[k] to bounds[k + 1] (bounds non-decreasing), into consecutive
+    ranges [lo, hi): each the most whole items that hold at most
+    _REDUCE_ROWS units together, or one item that alone holds more."""
+    lo, last = 0, len(bounds) - 1
+    while lo < last:
+        hi = int(np.searchsorted(bounds, bounds[lo] + _REDUCE_ROWS, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def _find(known, keys):
     """Each key's position in the sorted array known, or -1 where it is
     absent."""
@@ -120,17 +134,28 @@ class _ProductTable:
         self.coeffs = np.empty(0, dtype=np.int64)
 
     def add(self, parts):
-        """Merge the products of new pairs, given as parts (keys, sizes,
-        terms, coeffs) in any order: pair i of a part has the key keys[i]
-        and the next sizes[i] of its terms and coeffs."""
-        old = self.keys, np.diff(self.starts), self.terms, self.coeffs
-        keys, sizes, terms, coeffs = (np.concatenate(x) for x in zip(old, *parts))
+        """Merge the products of new pairs, given as a list of parts (keys,
+        sizes, terms, coeffs) in any order: pair i of a part has the key
+        keys[i] and the next sizes[i] of its terms and coeffs.  The terms of
+        each part are scattered straight to their places in the merged
+        arrays, and the list drops each part once it is placed."""
+        parts.insert(0, (self.keys, np.diff(self.starts), self.terms, self.coeffs))
+        keys = np.concatenate([part[0] for part in parts])
         order = np.argsort(keys)
-        at = _ranges((np.cumsum(sizes) - sizes)[order], sizes[order])
-        self.keys = keys[order]
-        self.starts = np.concatenate(([0], np.cumsum(sizes[order])))
-        self.terms = terms[at]
-        self.coeffs = coeffs[at]
+        sizes = np.concatenate([part[1] for part in parts])[order]
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        # The merged place of the first term of each pair, in the parts' order.
+        dest = np.empty_like(order)
+        dest[order] = starts[:-1]
+        terms = np.empty(starts[-1], dtype=np.int64)
+        coeffs = np.empty(starts[-1], dtype=np.int64)
+        done = 0
+        while parts:
+            part = parts.pop(0)
+            at = _ranges(dest[done : done + len(part[0])], part[1])
+            terms[at], coeffs[at] = part[2], part[3]
+            done += len(part[0])
+        self.keys, self.starts, self.terms, self.coeffs = keys[order], starts, terms, coeffs
 
 
 class FusionContext:
@@ -251,7 +276,10 @@ class FusionContext:
         ascending, positive coefficients, d(la) d(mu) = sum c_nu d(nu) on
         quantum dimensions, and reciprocity N_{la mu}^nu = N_{la nubar}^{mubar}
         wherever the partner pair is in the file (a verify run saves only
-        some pairs).  The checked arrays become the table as they are."""
+        some pairs).  Beyond one int64 per term, the table's sorted keys,
+        the checks hold only a slice of whole pairs at a time (see _slices),
+        so each pair's dimension sum adds the same floats in the same order.
+        The checked arrays become the table as they are."""
         n, rank = len(self.basis), self._affine_rank
         try:
             with open(self._cache_path(), "rb") as fh:
@@ -266,47 +294,56 @@ class FusionContext:
             if coeffs.min() <= 0 or not 0 <= low <= high < n:
                 raise ValueError("index or coefficient out of range")
             pairs = pairs.reshape(-1, 2)
-            # Summed exactly first: np.repeat allocates what sizes claim.
-            lengths = len(sizes), sum(sizes.tolist()), len(coeffs)
-            if lengths != (len(pairs), len(terms), len(terms)):
+            # Each size at most len(terms) first, so the int64 sum is exact
+            # for any file that np.fromfile could read.
+            if (
+                (len(sizes), len(coeffs)) != (len(pairs), len(terms))
+                or sizes.min() < 0
+                or sizes.max() > len(terms)
+                or sizes.sum() != len(terms)
+            ):
                 raise ValueError("array lengths disagree")
-            owner = np.repeat(np.arange(len(pairs)), sizes)
+            starts = np.concatenate(([0], np.cumsum(sizes)))
             keys = np.sort(rank[pairs], axis=1) @ np.array([n, 1])
-            # The table's key of each (pair, term), strictly ascending: each
-            # pair once and in key order, each term once and in affine order.
-            have = keys[owner] * n + rank[terms]
-            if (np.diff(keys) <= 0).any() or (np.diff(have) <= 0).any():
-                raise ValueError("pairs or terms repeated or out of order")
+            if (np.diff(keys) <= 0).any():
+                raise ValueError("pairs repeated or out of order")
             dim = _quantum_dimensions(self, self.basis)
-            lhs = dim[pairs[:, 0]] * dim[pairs[:, 1]]
-            rhs = np.bincount(owner, coeffs * dim[terms], minlength=len(pairs))
-            if (np.abs(lhs - rhs) > _CACHE_DIM_RTOL * lhs).any():
-                raise ValueError("quantum dimensions disagree")
+            # The table's key of each (pair, term), strictly ascending: each
+            # term once and in affine order.  As the keys ascend, a slice of
+            # whole pairs holds every place where this can fail.
+            have = np.empty(len(terms), dtype=np.int64)
+            for lo, hi in _slices(starts):
+                span = slice(starts[lo], starts[hi])
+                owner = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+                have[span] = keys[lo:hi][owner] * n + rank[terms[span]]
+                if (np.diff(have[span]) <= 0).any():
+                    raise ValueError("terms repeated or out of order")
+                lhs = dim[pairs[lo:hi, 0]] * dim[pairs[lo:hi, 1]]
+                rhs = np.bincount(owner, coeffs[span] * dim[terms[span]], minlength=hi - lo)
+                if (np.abs(lhs - rhs) > _CACHE_DIM_RTOL * lhs).any():
+                    raise ValueError("quantum dimensions disagree")
             # Term nu of (la, mu) against term mubar of the partner (la, nubar),
             # searched in sorted order, which also sorts the partner keys.
             rbar = rank[_relabeled(self, self.rs.conj_perm)]
-            la, nb = rank[pairs[:, 0]][owner], rbar[terms]
-            want = np.minimum(la, nb) * n
-            want += np.maximum(la, nb)
-            del la, nb
-            want *= n
-            want += rbar[pairs[:, 1]][owner]
-            order = np.argsort(want)
-            want, query = want[order], coeffs[order]
-            del owner, order
-            at = np.searchsorted(have, want).clip(max=len(have) - 1)
-            wrong = (have[at] != want) | (coeffs[at] != query)
-            del have, at, query
-            partner = want // n
-            near = np.searchsorted(keys, partner).clip(max=len(keys) - 1)
-            if (wrong & (keys[near] == partner)).any():
-                raise ValueError("reciprocity fails")
+            for lo, hi in _slices(starts):
+                span = slice(starts[lo], starts[hi])
+                owner = np.repeat(np.arange(lo, hi), sizes[lo:hi])
+                la, nb = rank[pairs[owner, 0]], rbar[terms[span]]
+                want = (np.minimum(la, nb) * n + np.maximum(la, nb)) * n
+                want += rbar[pairs[owner, 1]]
+                order = np.argsort(want)
+                want, query = want[order], coeffs[span][order]
+                at = np.searchsorted(have, want).clip(max=len(have) - 1)
+                wrong = (have[at] != want) | (coeffs[at] != query)
+                partner = want // n
+                near = np.searchsorted(keys, partner).clip(max=len(keys) - 1)
+                if (wrong & (keys[near] == partner)).any():
+                    raise ValueError("reciprocity fails")
         except (OSError, ValueError):
             # Unreadable or mismatched cache: recompute from scratch.
             return
         t = self._table
-        t.keys, t.starts = keys, np.concatenate(([0], np.cumsum(sizes)))
-        t.terms, t.coeffs = terms, coeffs
+        t.keys, t.starts, t.terms, t.coeffs = keys, starts, terms, coeffs
 
     def save_cache(self):
         """Persist the product table by basis index, atomically, pairs in
@@ -695,6 +732,8 @@ def basis_product_rows(ctx, a, b):
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     ra, rb = ctx._affine_rank[a], ctx._affine_rank[b]
     keys = np.minimum(ra, rb) * table.n + np.maximum(ra, rb)
+    # Freed before any product is derived.
+    del ra, rb
     at = _find(table.keys, keys)
     # Sorted and deduplicated without np.unique, which imports numpy.ma
     # (16 ms, 0.6 MB) when asked for no indices.
@@ -710,6 +749,8 @@ def basis_product_rows(ctx, a, b):
         if rest.size:
             found = _derived_products(ctx, lo[rest], hi[rest])
             parts += [(new[rest[k]], *rows) for k, *rows in found]
+            # Only parts holds them now, so the merge frees each as it goes.
+            del found
         table.add(parts)
         ctx._cache_dirty = True
         at = _find(table.keys, keys)

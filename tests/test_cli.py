@@ -15,7 +15,7 @@ import pytest
 
 import fusionq
 from fusionq import FusionContext, SMatrix, build_root_system
-from fusionq import cli
+from fusionq import cli, fusion
 from fusionq.cli import main
 from fusionq.fusion import basis_product_rows
 
@@ -501,13 +501,42 @@ def test_ring_builds_no_terms_dicts(tmp_path, monkeypatch, capsys):
     assert (cache.stat().st_ino, cache.stat().st_mtime_ns) == stamp
 
 
+@pytest.mark.parametrize("budget", [1, 50, 100])
+def test_ring_writer_in_any_blocks(budget, monkeypatch, capsys):
+    """The A2 k3 report, whose rows hold 10 to 25 terms, keeps the reference
+    writer's bytes whatever the slice budget: one row per block when no row
+    fits, or blocks of two to six rows."""
+    monkeypatch.setattr(fusion, "_REDUCE_ROWS", budget)
+    argv = ("ring", "--family", "A", "--rank", "2", "--level", "3")
+    assert run_cli(capsys, *argv)[:2] == (0, reference_ring("A", 2, 3))
+
+
+def test_verify_drops_the_generators_before_the_smatrix(monkeypatch, capsys):
+    """verify frees the fundamental generators once the restricted solution
+    is known: nothing after it reads them, and at A7 k7 they would add
+    about 78 MB to the S-matrix peak."""
+    from fusionq import smatrix
+
+    build = smatrix.build_smatrix
+    live = []
+
+    def recording(ctx):
+        live.append(ctx._generators)
+        return build(ctx)
+
+    monkeypatch.setattr(smatrix, "build_smatrix", recording)
+    code, out, _ = run_cli(capsys, "verify", "--family", "A", "--rank", "3", "--level", "3")
+    assert code == 0 and live == [None]
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS["verify", "A", 3, 3]
+
+
 def test_ring_writer_memory(tmp_path, monkeypatch, capsys):
-    """Writing the A4 k4 report (688,497 bytes) allocates less than 4 MB
+    """Writing the A4 k4 report (688,497 bytes) allocates less than 0.5 MiB
     beyond what is live once every product is known and the cache is saved.
-    The row-at-a-time writer adds about 0.88 MB, mostly the text of each
-    unordered pair's product, built once (1.00 MB when np.unique numbered
-    the terms); building the report as dicts and one json.dumps text first
-    added about 11 MB."""
+    The block writer adds about 0.34 MiB, one block of rows at a time.
+    Building the text of every unordered pair's product first added about
+    0.84 MiB, and building the report as dicts and one json.dumps text
+    about 11 MB."""
     save_cache = FusionContext.save_cache
     saved = []
 
@@ -528,7 +557,7 @@ def test_ring_writer_memory(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0 and len(saved) == 1
     assert target.stat().st_size == 688_497
-    assert peak - saved[0] < 4 << 20
+    assert peak - saved[0] < 1 << 19
 
 
 def test_smatrix_residual_computed_once(monkeypatch, capsys):
