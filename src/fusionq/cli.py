@@ -66,11 +66,24 @@ def cmd_ring(args):
     is built once, and each row is one join of such texts and the products'
     heads.  Rows are gathered in blocks, as many whole rows as hold at most
     a slice of terms (see fusion._slices), so beyond the product table the
-    writer holds one block's terms at a time.
+    writer holds one block's terms at a time.  The products are asked for
+    once, each unordered pair once, in the table's key order, so the product
+    of (i, j) is pair p(x, y) of the table, x <= y the places of i and j in
+    ascending affine order: beyond the table, nothing is held for all n**2
+    ordered pairs, only one block's indices at a time.
     """
     ctx = _context(args)
     n = len(ctx.basis)
-    at, starts, terms, coeffs = basis_product_rows(ctx, *np.divmod(np.arange(n * n), n))
+    rank = ctx._affine_rank
+    lo, hi = np.triu_indices(n)
+    _, starts, terms, coeffs = basis_product_rows(ctx, ctx._by_affine[lo], ctx._by_affine[hi])
+    sizes = np.diff(starts)
+    # Terms per row i of the report: every pair that has rank[i] as a factor,
+    # a pair of equal factors once.
+    off = lo != hi
+    per_rank = np.bincount(lo, sizes, n) + np.bincount(hi[off], sizes[off], n)
+    rows = np.concatenate(([0], np.cumsum(per_rank[rank].astype(np.int64))))
+    del lo, hi, off, per_rank
     ctx.save_cache()
     head = json.dumps(
         {
@@ -100,8 +113,6 @@ def cmd_ring(args):
     text[size + codes] = ["," + t for t in alone]
     del alone, codes
     label = np.array([',"j":%d,"terms":[' % j for j in range(n)], dtype=object)
-    sizes = np.diff(starts)[at]
-    rows = np.concatenate(([0], np.cumsum(sizes.reshape(n, n).sum(axis=1))))
     with _output(args.out) as fh:
         fh.write(head[:-1] + ',"products":[')
         for lo, hi in _slices(rows):
@@ -109,8 +120,11 @@ def cmd_ring(args):
             # (i, j), takes the items from place[k] on: an opening, which also
             # closes the product before it in its row, label[j], then its
             # terms.  One more item closes each row.
-            count = sizes[lo * n : hi * n]
-            span = _ranges(starts[at[lo * n : hi * n]], count)
+            x = np.minimum.outer(rank[lo:hi], rank).ravel()
+            y = np.maximum.outer(rank[lo:hi], rank).ravel()
+            at = x * (2 * n + 1 - x) // 2 + y - x
+            count = sizes[at]
+            span = _ranges(starts[at], count)
             first = np.cumsum(count) - count
             k = np.arange(len(count))
             place = first + 2 * k + k // n

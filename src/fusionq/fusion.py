@@ -25,8 +25,9 @@ _REDUCE_CAP = 10**6
 # tracemalloc, against 1.6 MB at this size.  _slices cuts the cache checks
 # and the ring writer to the same number of terms.
 _REDUCE_ROWS = 2**12
-# Float64 numbers of one partner chunk of basis_product_rows' recursion (more
-# only when one partner alone needs more).
+# Float64 numbers of one partner chunk of basis_product_rows' recursion: the
+# rows of the plan that the chunk's partners reach, plus the temporaries of
+# its largest group step (more only when one partner alone needs more).
 _CHUNK_NUMBERS = 2**16
 # Every int64 intermediate of alcove_reduce_many stays below this.
 _INT64_HEADROOM = 2**62
@@ -511,9 +512,10 @@ def _reduced_table(ctx, count, total, rows_at):
 def _table_rows(ctx, table):
     """The rows of a (count, basis) table of integers, int or float, in CSR
     form: (sizes, terms, coeffs), each row's nonzeros in affine order."""
-    owner, col = np.nonzero(table)
-    order = np.argsort(owner * len(ctx.basis) + ctx._affine_rank[col], kind="stable")
-    owner, col = owner[order], col[order]
+    # A flat nonzero of a boolean mask is several times faster than a 2-d
+    # nonzero of the floats.
+    owner, col = np.divmod(np.flatnonzero((table != 0)[:, ctx._by_affine]), len(ctx.basis))
+    col = ctx._by_affine[col]
     sizes = np.bincount(owner, minlength=len(table))
     return sizes, col, table[owner, col].astype(np.int64)
 
@@ -612,98 +614,225 @@ def _fill_fundamental(ctx, i, kappas):
 
 def _fundamental_rows(ctx, i, kappas):
     """Rows kappas of N_i, each of which must have been filled."""
-    slots = ctx._generators.slot[i, kappas]
-    if (slots < 0).any():
+    gen = ctx._generators
+    slots = gen.slot[i][kappas]
+    if slots.min(initial=0) < 0:
         missing = ctx.basis[np.asarray(kappas)[slots < 0][0]]
         raise AssertionError(f"row {missing} of fundamental matrix {i + 1} is not filled")
-    return ctx._generators.rows[i][slots]
+    return gen.rows[i][slots]
+
+
+def _closure(ctx, lam, top):
+    """The closure of the earlier factors lam (basis indices other than the
+    unit), walked from the top down a round at a time: each la in it brings
+    prev[la] and the other terms nu of V[omega_i] V[prev[la]], i = first[la].
+    Checks each leading coefficient and that the other terms come earlier.
+    Returns (rows, edges, reach): the closure but the unit, ascending; the
+    int64 arrays (la, nu) and the float64 coefficients c_nu of every lower
+    term; and the bound on a step's partial sums."""
+    gen = ctx._generators
+    n, r = len(ctx.basis), ctx.rs.rank
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    front = np.zeros(n, dtype=bool)
+    front[lam] = True
+    front[0] = False
+    used, edges = set(), []
+    while front.any():
+        inside |= front
+        rows = np.flatnonzero(front)
+        front = np.zeros(n, dtype=bool)
+        firsts = gen.first[rows]
+        for i in np.flatnonzero(np.bincount(firsts, minlength=r)).tolist():
+            las = rows[firsts == i]
+            pre = gen.prev[las]
+            if i not in used:
+                used.add(i)
+                # Every row a step with this generator can gather: the terms
+                # of V[pre] V[u] lie at most at height h(la) - h(omega_i) + h(u).
+                within = gen.height <= top - gen.height[gen.omega[i]]
+                kappas = np.flatnonzero(within & (gen.slot[i] < 0))
+                if kappas.size:
+                    _fill_fundamental(ctx, i, kappas)
+            row = _fundamental_rows(ctx, i, pre)
+            k = np.arange(len(las))
+            lead = row[k, las]
+            row[k, las] = 0
+            k, nu = np.nonzero(row)
+            late = np.flatnonzero(gen.pos[nu] > gen.pos[las[k]])
+            bad = np.flatnonzero(lead != 1)
+            if bad.size or late.size:
+                j = bad[0] if bad.size else k[late[0]]
+                omega, prev = ctx.basis[gen.omega[i]], ctx.basis[pre[j]]
+                if bad.size:
+                    raise AssertionError(
+                        f"{ctx.basis[las[j]]} has coefficient {lead[j]} in {omega} * {prev}"
+                    )
+                raise AssertionError(
+                    f"{ctx.basis[nu[late[0]]]} in {omega} * {prev} comes after "
+                    f"{ctx.basis[las[j]]}"
+                )
+            edges.append((las[k], nu, row[k, nu].astype(np.float64)))
+            front[pre] = True
+            front[nu] = True
+        front &= ~inside
+    edges = [np.concatenate(e) for e in zip(*edges)]
+    # Every partial sum of a step is at most max|X| times this.
+    return np.flatnonzero(inside)[1:], edges, max(gen.reach[i] for i in used)
+
+
+def _plan(ctx, lam, top):
+    """The plan of the recursion over the closure of the earlier factors lam
+    (see _closure).  A row's level is one more than the highest level among
+    the rows it reads, prev and its nu; the unit's is 0.  The other rows, in
+    order of (level, first vertex, height), fall into groups of one level
+    and one generator, each computed in one step from rows of lower levels.
+
+    Returns (seq, place, starts, steps, u_all, u_bounds, reach): the rows in
+    that order, the unit first; each basis index's place in seq, or -1; the
+    start of each group in seq, and one past the last; for each group (i, coef, start, u_start), its generator and its
+    dense coefficient matrix over its rows nu, u_all[u_bounds[g]:u_bounds[g
+    + 1]], ascending in height; and the bound on a step's partial sums."""
+    gen = ctx._generators
+    n = len(ctx.basis)
+    rows, (e_la, e_nu, e_c), reach = _closure(ctx, lam, top)
+    src = np.concatenate((rows, e_la))
+    dst = np.concatenate((gen.prev[rows], e_nu))
+    level = np.zeros(n, dtype=np.int64)
+    while True:
+        deeper = np.zeros(n, dtype=np.int64)
+        np.maximum.at(deeper, src, level[dst] + 1)
+        if (deeper == level).all():
+            break
+        level = deeper
+    rows = rows[np.lexsort((gen.pos[rows], gen.first[rows], level[rows]))]
+    seq = np.concatenate(([0], rows))
+    place = np.full(n, -1)
+    place[seq] = np.arange(len(seq))
+    cut = np.flatnonzero((np.diff(level[rows]) != 0) | (np.diff(gen.first[rows]) != 0))
+    starts = np.concatenate(([1], cut + 2, [len(seq)]))
+    group = np.searchsorted(starts, place[e_la], side="right") - 1
+    by = np.lexsort((gen.pos[e_nu], group))
+    e_g, e_row, e_nu, e_c = group[by], place[e_la[by]], e_nu[by], e_c[by]
+    new = (np.diff(e_g, prepend=-1) != 0) | (np.diff(e_nu, prepend=-1) != 0)
+    u_all = e_nu[new]
+    u_bounds = np.searchsorted(e_g[new], np.arange(len(starts)))
+    # The coefficient matrices, one after another in one flat array.
+    rows, cols = np.diff(starts), np.diff(u_bounds)
+    at = np.concatenate(([0], np.cumsum(rows * cols)))
+    flat = np.zeros(at[-1])
+    u_col = np.cumsum(new) - 1 - u_bounds[e_g]
+    flat[at[e_g] + (e_row - starts[e_g]) * cols[e_g] + u_col] = e_c
+    steps = [
+        (i, flat[o : o + r * u].reshape(r, u), lo, ulo)
+        for i, o, r, u, lo, ulo in zip(
+            gen.first[seq[starts[:-1]]].tolist(), at.tolist(), rows.tolist(),
+            cols.tolist(), starts.tolist(), u_bounds.tolist(),
+        )
+    ]
+    return seq, place, starts, steps, u_all, u_bounds, reach
 
 
 def _derived_products(ctx, a, b):
     """The products of the basis pairs (a[k], b[k]), none with the unit,
     from the fundamental matrices, as a list of parts (k, sizes, terms,
-    coeffs): the pairs k in CSR form; see basis_product_rows."""
+    coeffs): the pairs k in CSR form; see basis_product_rows.  The Python
+    steps grow with the depth of the closure of the earlier factors, one
+    per group of _plan and partner chunk, not with its size;
+    tests/reference.py keeps the one-weight-at-a-time loop."""
     if ctx._generators is None:
         ctx._generators = _Generators(ctx)
     gen = ctx._generators
     n = len(ctx.basis)
     swap = gen.pos[a] > gen.pos[b]
     lam, part = np.where(swap, b, a), np.where(swap, a, b)
-
-    # The closure D of the factors lam, from the top down: each la in D
-    # brings prev[la] and the other terms nu of V[omega_i] V[prev].
     top = gen.height[lam].max() + gen.height[part].max()
-    in_d = [False] * n
-    for la in lam.tolist():
-        in_d[la] = True
-    order = gen.order.tolist()
-    filled, steps = set(), {}
-    for p in range(int(gen.pos[lam].max()), 0, -1):
-        la = order[p]
-        if not in_d[la]:
-            continue
-        i, pre = gen.first[la], gen.prev[la]
-        if i not in filled:
-            filled.add(i)
-            # Every row a step with this generator can gather: the terms of
-            # V[pre] V[u] lie at most at height h(la) - h(omega_i) + h(u).
-            within = gen.height <= top - gen.height[gen.omega[i]]
-            kappas = np.flatnonzero(within & (gen.slot[i] < 0))
-            if kappas.size:
-                _fill_fundamental(ctx, i, kappas)
-        row = _fundamental_rows(ctx, i, [pre])[0]
-        nu = np.flatnonzero(row)
-        omega, prev = ctx.basis[gen.omega[i]], ctx.basis[pre]
-        if row[la] != 1:
-            raise AssertionError(
-                f"{ctx.basis[la]} has coefficient {row[la]} in {omega} * {prev}"
-            )
-        nu = nu[nu != la]
-        late = nu[gen.pos[nu] > p]
-        if late.size:
-            raise AssertionError(
-                f"{ctx.basis[late[0]]} in {omega} * {prev} comes after {ctx.basis[la]}"
-            )
-        steps[la] = i, nu, row[nu].astype(np.float64)
-        in_d[pre] = True
-        for x in nu.tolist():
-            in_d[x] = True
-    # Every partial sum of a step is at most max|X| times this.
-    reach = max(gen.reach[i] for i in filled)
+    seq, place, starts, steps, u_all, u_bounds, reach = _plan(ctx, lam, top)
+    prev_seq, u_seq = place[gen.prev[seq]], place[u_all]
+    seq_pos, u_pos = gen.pos[seq], gen.pos[u_all]
 
-    dl = np.array([la for la in order if in_d[la]])
-    drow = np.full(n, -1)
-    drow[dl] = np.arange(len(dl))
+    # Partners in order of the prefix of the plan they need: the rows up to
+    # the height of the latest earlier factor they meet.  A chunk holds the
+    # prefix rows for each of its partners, plus the temporaries of its
+    # largest group step, within _CHUNK_NUMBERS numbers.
     partners, pslot = np.unique(part, return_inverse=True)
-    by_partner = np.argsort(pslot, kind="stable")
-    bounds = np.searchsorted(pslot[by_partner], np.arange(len(partners) + 1))
-    chunk = max(1, _CHUNK_NUMBERS // (len(dl) * n))
+    limit = np.zeros(len(partners), dtype=np.int64)
+    np.maximum.at(limit, pslot, gen.pos[lam])
+    order = np.argsort(limit, kind="stable")
+    limit = limit[order]
+    need = np.searchsorted(np.sort(seq_pos), limit, side="right")
+    # The rows of each group, and its rows nu, up to each partner's limit:
+    # the plan and u_all are sorted by (group, height), so one search over
+    # keys group * n + place in height order finds them all.
+    g = np.arange(len(steps))[:, None]
+    group_of = np.repeat(np.arange(len(steps)), np.diff(starts))
+    c = np.searchsorted(group_of * n + seq_pos[1:], g * n + limit, side="right")
+    c -= starts[:-1, None] - 1
+    group_of = np.repeat(np.arange(len(steps)), np.diff(u_bounds))
+    cu = np.searchsorted(group_of * n + u_pos, g * n + limit, side="right")
+    cu -= u_bounds[:-1, None]
+    # A step of c rows over cu rows nu holds at most c + max(c, cu) rows of
+    # temporaries at once.
+    cost = (need + (c + np.maximum(c, cu)).max(axis=0)) * n
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    pair_rank = rank[pslot]
+    by_partner = np.argsort(pair_rank, kind="stable")
+    bounds = np.searchsorted(pair_rank[by_partner], np.arange(len(partners) + 1))
+    chunks = [0]
+    while chunks[-1] < len(partners):
+        start = chunks[-1]
+        span = cost[start : start + max(1, _CHUNK_NUMBERS // cost[start])]
+        fits = span * np.arange(1, len(span) + 1) <= _CHUNK_NUMBERS
+        chunks.append(start + max(1, len(span) if fits.all() else int(fits.argmin())))
+    # One buffer holds each chunk's rows in turn.
+    buf = np.empty(int((np.diff(chunks) * need[np.array(chunks[1:]) - 1]).max()) * n)
     parts = []
-    for start in range(0, len(partners), chunk):
-        us = partners[start : start + chunk]
-        x = np.zeros((len(dl), len(us), n))
-        x[0, np.arange(len(us)), us] = 1
-        flat = x.reshape(len(dl), -1)
-        for d, la in enumerate(dl[1:].tolist(), 1):
-            i, nu, c = steps[la]
-            left = x[drow[gen.prev[la]]]
-            cols = np.flatnonzero(left.any(axis=0))
-            step = left[:, cols] @ _fundamental_rows(ctx, i, cols).astype(np.float64)
-            if nu.size:
-                step -= (c @ flat[drow[nu]]).reshape(step.shape)
-            x[d] = step
-        if np.abs(x).max() * reach >= _FLOAT_EXACT:
+    for start, end in zip(chunks[:-1], chunks[1:]):
+        m = end - start
+        us = partners[order[start:end]]
+        top_pos = limit[start + m - 1]
+        # The plan's rows up to top_pos, the kept prefix of each group, and
+        # the place in x of each kept row.
+        kept = np.concatenate(([0], np.cumsum(seq_pos <= top_pos)))
+        xrow = kept[1:] - 1
+        c_all = (kept[starts[1:]] - kept[starts[:-1]]).tolist()
+        at_all = xrow[starts[:-1]].tolist()
+        u_kept = np.concatenate(([0], np.cumsum(u_pos <= top_pos)))
+        cu_all = (u_kept[u_bounds[1:]] - u_kept[u_bounds[:-1]]).tolist()
+        px, ux = xrow[prev_seq], xrow[u_seq]
+        x = buf[: kept[-1] * m * n].reshape(kept[-1], m, n)
+        x[0] = 0
+        x[0, np.arange(m), us] = 1
+        for (i, coef, lo, ulo), c, cu, at in zip(steps, c_all, cu_all, at_all):
+            if not c:
+                continue
+            out = x[at : at + c]
+            # Each rebinding of left frees the array it held, so at most two
+            # of these temporaries are live at once.
+            left = x[px[lo : lo + c]].reshape(c * m, n)
+            cols = np.logical_or.reduce(left).nonzero()[0]
+            left = left[:, cols]
+            rows = _fundamental_rows(ctx, i, cols).astype(np.float64)
+            np.matmul(left, rows, out=out.reshape(c * m, n))
+            if cu:
+                left = x[ux[ulo : ulo + cu]].reshape(cu, m * n)
+                out.reshape(c, m * n)[:] -= coef[:c, :cu] @ left
+        if max(x.max(), -x.min()) * reach >= _FLOAT_EXACT:
             raise AssertionError("fusion coefficients too large for exact float64")
-        # A pair whose factors are both partners of this chunk and both in D
-        # was computed in both orders.
-        both = np.flatnonzero(drow[us] >= 0)
-        twice = x[drow[us[both]]][:, both]
+        # A pair whose factors are both partners of this chunk and both
+        # among its rows was computed in both orders.
+        xu = np.where((place[us] >= 0) & (gen.pos[us] <= top_pos), xrow[place[us]], -1)
+        both = np.flatnonzero(xu >= 0)
+        twice = x[xu[both]][:, both]
         if (twice != twice.transpose(1, 0, 2)).any():
             raise AssertionError("a product differs between its two orders")
-        asked = by_partner[bounds[start] : bounds[start + len(us)]]
-        table = x[drow[lam[asked]], pslot[asked] - start]
-        _check_nonnegative(ctx, table, lambda j: (a[asked[j]], b[asked[j]]))
-        parts.append((asked, *_table_rows(ctx, table)))
+        asked = by_partner[bounds[start] : bounds[start + m]]
+        table = x[xrow[place[lam[asked]]], pair_rank[asked] - start]
+        sizes, terms, coeffs = _table_rows(ctx, table)
+        if coeffs.min(initial=0) < 0:
+            _check_nonnegative(ctx, table, lambda j: (a[asked[j]], b[asked[j]]))
+        parts.append((asked, sizes, terms, coeffs))
     return parts
 
 
@@ -723,10 +852,16 @@ def basis_product_rows(ctx, a, b):
     V[la] = V[omega_i] V[la - omega_i] - sum of c_nu V[nu], every nu earlier
     than la.  So for all partners u at once,
     X[la] = X[la - omega_i] N_i - sum of c_nu X[nu], where X[la] holds the
-    products V[la] V[u], over the closure of the earlier factors in height
-    order, in float64 arithmetic checked to be exact, in partner chunks of
-    at most _CHUNK_NUMBERS numbers.  Every check raises AssertionError before
-    anything is stored.  Only the requested pairs are stored.
+    products V[la] V[u], over the closure of the earlier factors, in float64
+    arithmetic checked to be exact.  The closure rows fall into groups of
+    one dependency level and one generator, and each group is one step: a
+    matrix product over the nonzero columns of its prev rows, less its
+    small dense coefficient matrix times the rows nu it reads.  Partners go
+    in chunks, ordered by the prefix of the closure (in height order) that
+    their earlier factors reach; a chunk's rows of that prefix plus the
+    temporaries of its largest step are at most _CHUNK_NUMBERS numbers.
+    Every check raises AssertionError before anything is stored.  Only the
+    requested pairs are stored.
     """
     table = ctx._table
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)

@@ -14,6 +14,10 @@ them with ``from reference import ...``.  For each, the fast path it checks:
   over the cosets of a classical Levi subgroup.
 - verlinde_matrix gives every fusion coefficient at once from the Verlinde
   sums.  It checks the exact products of fusion.fusion_products.
+- derived_products runs the height recursion of the basis products one
+  closure weight at a time, one partner chunk after another.  It checks
+  fusion._derived_products, which steps through the closure one dependency
+  level and generator at a time.
 - verify_beta_chain (with BetaChain and BetaChainError) finds the chain of
   positive roots from alpha_a to the highest root at a minuscule vertex.
   It checks the root data of cartan.RootSystem: the positive roots, rho
@@ -174,6 +178,95 @@ def verlinde_matrix(sm, resid_tol=1e-6):
             f"Verlinde tensor residual {resid:.3e} exceeds {resid_tol}"
         )
     return out, resid
+
+
+def derived_products(ctx, a, b):
+    """The products of the basis pairs (a[k], b[k]), none with the unit,
+    from the fundamental matrices, as fusion._derived_products returns them:
+    a list of parts (k, sizes, terms, coeffs), the pairs k in CSR form.
+
+    The closure of the earlier factors is walked from the top down, one
+    weight at a time, and each partner chunk of at most
+    fusion._CHUNK_NUMBERS numbers steps through it one weight at a time:
+    X[la] = X[la - omega_i] N_i - sum of c_nu X[nu].  It makes the same
+    checks as the fast path, with the same messages.
+    """
+    if ctx._generators is None:
+        ctx._generators = fusion._Generators(ctx)
+    gen = ctx._generators
+    n = len(ctx.basis)
+    swap = gen.pos[a] > gen.pos[b]
+    lam, part = np.where(swap, b, a), np.where(swap, a, b)
+
+    top = gen.height[lam].max() + gen.height[part].max()
+    in_d = [False] * n
+    for la in lam.tolist():
+        in_d[la] = True
+    order = gen.order.tolist()
+    filled, steps = set(), {}
+    for p in range(int(gen.pos[lam].max()), 0, -1):
+        la = order[p]
+        if not in_d[la]:
+            continue
+        i, pre = gen.first[la], gen.prev[la]
+        if i not in filled:
+            filled.add(i)
+            within = gen.height <= top - gen.height[gen.omega[i]]
+            kappas = np.flatnonzero(within & (gen.slot[i] < 0))
+            if kappas.size:
+                fusion._fill_fundamental(ctx, i, kappas)
+        row = fusion._fundamental_rows(ctx, i, [pre])[0]
+        nu = np.flatnonzero(row)
+        omega, prev = ctx.basis[gen.omega[i]], ctx.basis[pre]
+        if row[la] != 1:
+            raise AssertionError(
+                f"{ctx.basis[la]} has coefficient {row[la]} in {omega} * {prev}"
+            )
+        nu = nu[nu != la]
+        late = nu[gen.pos[nu] > p]
+        if late.size:
+            raise AssertionError(
+                f"{ctx.basis[late[0]]} in {omega} * {prev} comes after {ctx.basis[la]}"
+            )
+        steps[la] = i, nu, row[nu].astype(np.float64)
+        in_d[pre] = True
+        for x in nu.tolist():
+            in_d[x] = True
+    reach = max(gen.reach[i] for i in filled)
+
+    dl = np.array([la for la in order if in_d[la]])
+    drow = np.full(n, -1)
+    drow[dl] = np.arange(len(dl))
+    partners, pslot = np.unique(part, return_inverse=True)
+    by_partner = np.argsort(pslot, kind="stable")
+    bounds = np.searchsorted(pslot[by_partner], np.arange(len(partners) + 1))
+    chunk = max(1, fusion._CHUNK_NUMBERS // (len(dl) * n))
+    parts = []
+    for start in range(0, len(partners), chunk):
+        us = partners[start : start + chunk]
+        x = np.zeros((len(dl), len(us), n))
+        x[0, np.arange(len(us)), us] = 1
+        flat = x.reshape(len(dl), -1)
+        for d, la in enumerate(dl[1:].tolist(), 1):
+            i, nu, c = steps[la]
+            left = x[drow[gen.prev[la]]]
+            cols = np.flatnonzero(left.any(axis=0))
+            rows = fusion._fundamental_rows(ctx, i, cols).astype(np.float64)
+            step = left[:, cols] @ rows
+            if nu.size:
+                step -= (c @ flat[drow[nu]]).reshape(step.shape)
+            x[d] = step
+        if np.abs(x).max() * reach >= fusion._FLOAT_EXACT:
+            raise AssertionError("fusion coefficients too large for exact float64")
+        both = np.flatnonzero(drow[us] >= 0)
+        twice = x[drow[us[both]]][:, both]
+        if (twice != twice.transpose(1, 0, 2)).any():
+            raise AssertionError("a product differs between its two orders")
+        asked = by_partner[bounds[start] : bounds[start + len(us)]]
+        table = x[drow[lam[asked]], pslot[asked] - start]
+        fusion._check_nonnegative(ctx, table, lambda j: (a[asked[j]], b[asked[j]]))
+        parts.append((asked, *fusion._table_rows(ctx, table)))
+    return parts
 
 
 # -- root data ------------------------------------------------------------------

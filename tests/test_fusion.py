@@ -30,7 +30,7 @@ from fusionq import (
 )
 from fusionq import fusion
 from fusionq.cli import main
-from reference import ReducedWeight, alcove_reduce
+from reference import ReducedWeight, alcove_reduce, derived_products
 
 BASIS_SIZES = {
     ("A", 1, 2): 3,
@@ -717,6 +717,80 @@ def test_float_bound_is_checked_before_storing(make_rs, monkeypatch):
     with pytest.raises(AssertionError, match="too large for exact float64"):
         _basis_products(ctx, _all_pairs(ctx))
     assert len(ctx._table.keys) == 0
+
+
+# Every pair of each of these, derived by the per-weight reference in one
+# call at the default budget: the stored arrays keys, starts, terms, coeffs.
+_REFERENCE_TABLES = {}
+
+
+def _reference_table(rs, level, monkeypatch):
+    key = (rs.type, level)
+    if key not in _REFERENCE_TABLES:
+        with monkeypatch.context() as patch:
+            patch.setattr(fusion, "_derived_products", derived_products)
+            ctx = FusionContext(rs, level)
+            n = len(ctx.basis)
+            fusion.basis_product_rows(ctx, *np.divmod(np.arange(n * n), n))
+        t = ctx._table
+        _REFERENCE_TABLES[key] = t.keys, t.starts, t.terms, t.coeffs
+    return _REFERENCE_TABLES[key]
+
+
+@pytest.mark.parametrize("budget", [1, 7, None], ids=["budget1", "budget7", "default"])
+@pytest.mark.parametrize("calls", ["one-call", "one-pair-calls"])
+@pytest.mark.parametrize(
+    "family,rank,level",
+    [("A", 2, 3), ("A", 4, 4), ("B", 3, 3), ("C", 4, 4), ("D", 4, 3), ("G", 2, 3),
+     ("F", 4, 2), ("E", 6, 2)],
+    ids=lambda v: str(v),
+)
+def test_level_steps_store_what_the_per_weight_reference_stores(
+    family, rank, level, calls, budget, make_rs, monkeypatch
+):
+    """The batched recursion, one step per (level, generator) group and
+    partner chunk, stores the same keys, starts, terms and coeffs as the
+    per-weight reference: every pair asked for in one call, or one pair per
+    call in shuffled order and orientation, at budgets of 1 and 7 numbers
+    per chunk (one partner per chunk, groups cut at the chunk edges) and the
+    default."""
+    rs = make_rs(family, rank)
+    expect = _reference_table(rs, level, monkeypatch)
+    if budget is not None:
+        monkeypatch.setattr(fusion, "_CHUNK_NUMBERS", budget)
+    ctx = FusionContext(rs, level)
+    n = len(ctx.basis)
+    if calls == "one-call":
+        fusion.basis_product_rows(ctx, *np.divmod(np.arange(n * n), n))
+    else:
+        rng = np.random.default_rng(5)
+        pairs = np.column_stack(np.triu_indices(n))
+        for k in rng.permutation(len(pairs)):
+            pair = pairs[k] if rng.integers(2) else pairs[k, ::-1]
+            fusion.basis_product_rows(ctx, pair[:1], pair[1:])
+    t = ctx._table
+    for found, want in zip((t.keys, t.starts, t.terms, t.coeffs), expect):
+        assert np.array_equal(found, want)
+
+
+def test_full_table_gathers_once_per_group_and_chunk(make_rs, monkeypatch):
+    """The whole A4 k5 table gathers fundamental rows once per closure round
+    and generator and once per group step, not once per closure weight and
+    chunk: 4,125 gathers when every weight was its own step, 646 at the
+    default budget in level steps."""
+    gathers = []
+    rows = fusion._fundamental_rows
+
+    def counted(ctx, i, kappas):
+        gathers.append(i)
+        return rows(ctx, i, kappas)
+
+    monkeypatch.setattr(fusion, "_fundamental_rows", counted)
+    ctx = FusionContext(make_rs("A", 4), 5)
+    n = len(ctx.basis)
+    fusion.basis_product_rows(ctx, *np.divmod(np.arange(n * n), n))
+    assert len(ctx._table.keys) == n * (n + 1) // 2
+    assert len(gathers) < 1000
 
 
 def test_cache_bytes_match_the_kac_walton_reference(
